@@ -5,8 +5,8 @@ Three ways to run the identical full corpus × schema sweep:
 * **baseline** — what every bench did before the engine existed: compile
   each job from source, simulate with the per-cycle reference loop
   (``sim_mode="step"``), serially;
-* **engine serial** — warm `GraphCache` + the event-driven fast path
-  (``sim_mode="auto"``), still one process;
+* **engine serial** — warm `GraphCache` + the packed interpreter's fast
+  path (``sim_mode="auto"``), still one process;
 * **engine pool** — the same warm-cache sweep fanned across
   ``run_batch(..., pool_size=4)`` workers sharing a disk cache tier.
 

@@ -74,8 +74,8 @@ def test_fleet_vs_single_saturation(save_result):
         },
     }
     RESULTS.mkdir(exist_ok=True)
-    # read-modify-write: other service benches (the tiering JIT one)
-    # keep their own top-level keys in the same file
+    # read-modify-write: keys other benches write into the same file
+    # survive
     path = RESULTS / "BENCH_service.json"
     try:
         merged = json.loads(path.read_text())

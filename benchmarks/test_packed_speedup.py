@@ -1,12 +1,12 @@
 """Packed-backend speedup — the flat-array interpreter versus the object
-graph loops, and payload shipping versus whole-program shipping.
+graph reference loop, and payload shipping versus whole-program shipping.
 
 Two acceptance claims, measured on the full corpus × schema sweep (the
 114-job workload every experiment suite revolves around):
 
 * **serial**: with a warm graph cache, the packed interpreter's summed
   simulation time is ≥3x faster than the per-cycle reference loop
-  (``sim_mode="step"``) — and faster than the event-driven fast loop too;
+  (``sim_mode="step"``);
 * **pooled**: ``--jobs 4`` beats the serial sweep outright.  Workers
   receive the compact :class:`~repro.machine.packed.PackedProgram`
   payload (parent-compiled, chunk-dispatched), which is what turned the
@@ -64,7 +64,7 @@ def _interleaved_walls(jobs, cache, pool, repeats=11):
 def test_packed_speedup(tmp_path, save_result):
     modes = {
         mode: corpus_jobs(config=MachineConfig(sim_mode=mode))
-        for mode in ("step", "fast", "packed")
+        for mode in ("step", "packed")
     }
     auto_jobs = corpus_jobs()
     cache = GraphCache()
@@ -86,33 +86,21 @@ def test_packed_speedup(tmp_path, save_result):
     serial_results = run_batch(auto_jobs, cache=cache)
 
     # identical observables across every configuration
-    for mode in ("fast", "packed"):
-        for ref, br in zip(serial["step"][2], serial[mode][2]):
-            assert ref.ok and br.ok, (ref.error, br.error)
-            assert ref.result.memory == br.result.memory
-            assert ref.result.metrics.cycles == br.result.metrics.cycles
-            assert (
-                ref.result.metrics.operations == br.result.metrics.operations
-            )
+    for ref, br in zip(serial["step"][2], serial["packed"][2]):
+        assert ref.ok and br.ok, (ref.error, br.error)
+        assert ref.result.memory == br.result.memory
+        assert ref.result.metrics.cycles == br.result.metrics.cycles
+        assert ref.result.metrics.operations == br.result.metrics.operations
     for ref, br in zip(serial_results, pooled_results):
         assert ref.ok and br.ok, (ref.error, br.error)
-        assert br.result.backend == "vectorized"  # auto on idealized config
+        assert br.result.backend == "packed"  # auto on idealized config
         assert ref.result.memory == br.result.memory
         assert ref.result.metrics.cycles == br.result.metrics.cycles
 
-    step_sim, fast_sim, packed_sim = (
-        serial["step"][1],
-        serial["fast"][1],
-        serial["packed"][1],
-    )
+    step_sim, packed_sim = serial["step"][1], serial["packed"][1]
     n = len(auto_jobs)
     rows = [
         ["serial, sim_mode=step (reference loop)", f"{step_sim:.3f}", "1.00x"],
-        [
-            "serial, sim_mode=fast (event-driven, object graph)",
-            f"{fast_sim:.3f}",
-            f"{step_sim / fast_sim:.2f}x",
-        ],
         [
             "serial, sim_mode=packed (flat-array interpreter)",
             f"{packed_sim:.3f}",
@@ -141,7 +129,6 @@ def test_packed_speedup(tmp_path, save_result):
     assert packed_sim * 3 <= step_sim, (
         f"packed {packed_sim:.3f}s not >=3x faster than step {step_sim:.3f}s"
     )
-    assert packed_sim < fast_sim
     assert pooled_wall < serial_wall, (
         f"pooled sweep median {pooled_wall:.3f}s not faster than serial "
         f"median {serial_wall:.3f}s"

@@ -16,7 +16,7 @@ Usage::
     python -m repro schemas                            # list schemas
     python -m repro bench [--jobs N] [--cache-dir DIR] [--repeat N]
                           [--schemas s1,s2] [--programs p1,p2] [--verify]
-                          [--sim-mode auto|step|fast|packed|vectorized]
+                          [--sim-mode auto|step|packed]
     python -m repro fuzz [--seed N] [--count N] [--budget-s F]
                          [--knob k=v ...] [--minimize] [--out DIR]
                          [--no-pool] [--replay FILE] [--blame]
@@ -27,9 +27,7 @@ Service mode (always-on compile/simulate server, JSON-lines protocol)::
     python -m repro serve --socket /tmp/repro.sock [--max-queue N]
                           [--max-batch N] [--max-wait-ms F] [--jobs N]
                           [--cache-dir DIR] [--snapshot-dir DIR]
-                          [--snapshot-interval S] [--tiering]
-                          [--tier-entry T] [--tier-max T]
-                          [--tier-thresholds N,M] [--tier-decay-s S]
+                          [--snapshot-interval S]
     python -m repro fleet --socket /tmp/repro.sock --shards N
                           [--replication R] [--hot-threshold N]
                           [--max-pending N] [--socket-dir DIR]
@@ -37,7 +35,6 @@ Service mode (always-on compile/simulate server, JSON-lines protocol)::
     python -m repro submit PROG.df --socket /tmp/repro.sock [...run options]
     python -m repro stats --socket /tmp/repro.sock     # live server stats
     python -m repro metrics --socket /tmp/repro.sock [--json]
-    python -m repro tiers --socket /tmp/repro.sock [--json]  # JIT state
     python -m repro trace PROG.df --socket /tmp/repro.sock  # traced submit
     python -m repro trace --trace-id ID --socket ...   # server-held spans
     python -m repro shutdown --socket /tmp/repro.sock  # graceful drain
@@ -52,7 +49,7 @@ import sys
 from .cfg.dot import cfg_to_dot
 from .dfg.dot import dfg_to_dot
 from .dfg.stats import graph_stats
-from .machine.config import MachineConfig
+from .machine.config import SIM_MODES, MachineConfig
 from .translate.pipeline import SCHEMAS, compile_program, simulate
 
 
@@ -425,49 +422,16 @@ def _client(args):
     )
 
 
-def _parse_thresholds(text: str) -> tuple[int, ...]:
-    """``"8,64"`` → ``(8, 64)`` for --tier-thresholds."""
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit(
-            f"--tier-thresholds: expected comma-separated ints, got {text!r}"
-        )
-
-
-def _add_tiering_args(p) -> None:
-    """Snapshot + adaptive-tiering flags shared by serve and fleet."""
+def _add_snapshot_args(p) -> None:
+    """Warm-restart flags shared by serve and fleet."""
     p.add_argument(
         "--snapshot-dir", default=None,
-        help="warm-restart directory: cache entries + tier state are "
-        "restored on start and snapshotted on drain",
+        help="warm-restart directory: cache entries are restored on "
+        "start and snapshotted on drain",
     )
     p.add_argument(
         "--snapshot-interval", type=float, default=0.0, metavar="S",
         help="also snapshot every S seconds (0 = on drain only)",
-    )
-    p.add_argument(
-        "--tiering", action="store_true",
-        help="adaptive tiering: auto-promote hot cached graphs through "
-        "the execution-tier ladder by observed hit count",
-    )
-    p.add_argument(
-        "--tier-entry", default="fast",
-        choices=("step", "fast", "packed", "vectorized"),
-        help="tier a graph starts at (default fast)",
-    )
-    p.add_argument(
-        "--tier-max", default="vectorized",
-        choices=("step", "fast", "packed", "vectorized"),
-        help="highest tier a graph may be promoted to",
-    )
-    p.add_argument(
-        "--tier-thresholds", default="8,64", metavar="N,M",
-        help="hit counts at which a graph climbs each rung",
-    )
-    p.add_argument(
-        "--tier-decay-s", type=float, default=10.0,
-        help="hotness half-life tick; 0 disables decay/demotion",
     )
 
 
@@ -489,11 +453,6 @@ def _serve(args) -> int:
         cache_dir=args.cache_dir,
         snapshot_dir=args.snapshot_dir,
         snapshot_interval_s=args.snapshot_interval,
-        tiering=args.tiering,
-        tier_entry=args.tier_entry,
-        tier_max=args.tier_max,
-        tier_thresholds=_parse_thresholds(args.tier_thresholds),
-        tier_decay_s=args.tier_decay_s,
     )
 
     async def run() -> None:
@@ -542,11 +501,6 @@ def _fleet(args) -> int:
         cache_dir=args.cache_dir,
         snapshot_dir=args.snapshot_dir,
         snapshot_interval_s=args.snapshot_interval,
-        tiering=args.tiering,
-        tier_entry=args.tier_entry,
-        tier_max=args.tier_max,
-        tier_thresholds=_parse_thresholds(args.tier_thresholds),
-        tier_decay_s=args.tier_decay_s,
     )
 
     async def run() -> None:
@@ -636,6 +590,12 @@ def _service_stats(args) -> int:
             f"{e['compiles']} compiles, {e['entries']} entries"
         )
     print(line)
+    snap = st.get("snapshot") or {}
+    if snap.get("dir"):
+        print(
+            f"snapshot: dir={snap['dir']} interval={snap['interval_s']}s "
+            f"writes={snap['writes']} restored={snap['restored']}"
+        )
     for stage in ("queue", "compile", "sim", "total"):
         s = st["latency_ms"][stage]
         print(
@@ -730,53 +690,6 @@ def _service_metrics(args) -> int:
         print(
             f"histogram  {name:32s} count={h['count']} "
             f"mean={mean:.3f} sum={h['sum']:.3f}"
-        )
-    return 0
-
-
-def _service_tiers(args) -> int:
-    with _client(args) as client:
-        t = client.tiers()
-    if args.json:
-        import json
-
-        print(json.dumps(t, indent=2, sort_keys=True))
-        return 0
-    if not t.get("enabled"):
-        print("tiering: disabled")
-    else:
-        if "entry_tier" in t:
-            print(
-                f"tiering: {t['entry_tier']} -> {t['max_tier']} "
-                f"at hits {','.join(str(x) for x in t['thresholds'])}"
-            )
-        print(
-            f"graphs: {t.get('graphs', 0)}  "
-            f"promotions {t.get('promotions', 0)}  "
-            f"demotions {t.get('demotions', 0)}  "
-            f"prewarms {t.get('prewarms', 0)}"
-        )
-        if t.get("by_tier"):
-            print("by tier: " + "  ".join(
-                f"{tier}={n}" for tier, n in t["by_tier"].items()
-            ))
-        for row in t.get("top", [])[:10]:
-            shard = f" shard={row['shard']}" if "shard" in row else ""
-            print(
-                f"  {row['key']}  {row['tier']:<10s} "
-                f"hits={row['hits']:<6d} hotness={row['hotness']:.1f} "
-                f"prewarmed={'yes' if row.get('prewarmed') else 'no'}"
-                f"{shard}"
-            )
-    snap = t.get("snapshot") or {}
-    if snap.get("dir"):
-        print(
-            f"snapshot: dir={snap['dir']} interval={snap.get('interval_s')}s"
-            + (
-                f" writes={snap['writes']} restored={snap['restored']}"
-                if "writes" in snap
-                else ""
-            )
         )
     return 0
 
@@ -881,8 +794,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_bench.add_argument(
         "--sim-mode", default="auto",
-        choices=("auto", "step", "fast", "packed", "vectorized"),
-        help="scheduler loop for every job (auto = vectorized where exact)",
+        choices=SIM_MODES,
+        help="scheduler loop for every job (auto = packed where exact)",
     )
 
     p_fuzz = subs.add_parser(
@@ -949,7 +862,7 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir", default=None,
         help="on-disk compiled-graph cache shared with other runs",
     )
-    _add_tiering_args(p_serve)
+    _add_snapshot_args(p_serve)
 
     p_fleet = subs.add_parser(
         "fleet",
@@ -1004,7 +917,7 @@ def main(argv: list[str] | None = None) -> int:
         help="disk cache shared by all shards (atomic content-addressed "
              "writes); respawned shards come back warm",
     )
-    _add_tiering_args(p_fleet)
+    _add_snapshot_args(p_fleet)
 
     p_submit = subs.add_parser(
         "submit", help="compile and run one program on a running service"
@@ -1029,17 +942,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="raw JSON snapshot")
     p_metrics.add_argument("--timeout", type=float, default=10.0,
                            help="socket timeout (seconds)")
-
-    p_tiers = subs.add_parser(
-        "tiers",
-        help="adaptive-tiering state of a running service or fleet "
-        "(ladder, hottest graphs, promotion counts, snapshot status)",
-    )
-    _add_endpoint_args(p_tiers)
-    p_tiers.add_argument("--json", action="store_true",
-                         help="raw JSON snapshot")
-    p_tiers.add_argument("--timeout", type=float, default=10.0,
-                         help="socket timeout (seconds)")
 
     p_shutdown = subs.add_parser(
         "shutdown", help="gracefully drain and stop a running service"
@@ -1071,8 +973,6 @@ def main(argv: list[str] | None = None) -> int:
         return _shutdown(args)
     if args.command == "metrics":
         return _service_metrics(args)
-    if args.command == "tiers":
-        return _service_tiers(args)
     if args.command == "stats" and (args.socket or args.port):
         return _service_stats(args)
     if args.command == "stats" and args.file is None:

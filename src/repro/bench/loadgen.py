@@ -195,7 +195,7 @@ def zipf_weights(n: int, s: float = 1.1) -> list[float]:
 
     The skewed-traffic shape the Labyrinth workload motivates: a few
     graphs dominate resubmissions while a long tail stays cold — the
-    distribution adaptive tiering (and the fleet's hot replication) is
+    distribution the graph cache and the fleet's hot replication are
     designed for.
     """
     if n < 1:

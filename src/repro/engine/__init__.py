@@ -6,8 +6,8 @@ process-pool batch runner with deterministic ordering
 (:mod:`~repro.engine.batch`), and a process-wide default cache that the
 bench harness and sweeps share.
 
-See DESIGN.md §6 for cache keying rules and when the simulator's
-event-driven fast path is bypassed.
+See DESIGN.md §6 for cache keying rules and when the packed
+interpreter is bypassed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from ..translate.pipeline import CompiledProgram, CompileOptions
 from .batch import BatchJob, BatchResult, make_pool, run_batch, shared_cache
 from .cache import CacheStats, GraphCache, graph_key
 from .latency import LatencySummary, percentile
-from .tiering import TIERS, TierController, TieringConfig
 
 #: process-wide cache used by default for serial engine compiles
 default_cache = GraphCache()
@@ -35,9 +34,6 @@ __all__ = [
     "CacheStats",
     "GraphCache",
     "LatencySummary",
-    "TIERS",
-    "TierController",
-    "TieringConfig",
     "compile_cached",
     "default_cache",
     "graph_key",

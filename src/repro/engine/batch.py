@@ -75,7 +75,7 @@ class BatchResult:
     result: SimResult | None
     stats: GraphStats | None
     compile_time: float  # seconds in lookup-or-compile
-    sim_time: float  # seconds in Simulator.run
+    sim_time: float  # seconds in simulate()
     cache_hit: bool
     error: str | None = None
     traceback: str | None = None
@@ -366,10 +366,10 @@ def run_batch(
         return [_run_one(cache, i, job) for i, job in enumerate(jobs)]
 
     # pooled: the pool is created (or borrowed) up front so parent-side
-    # compiles can fan region subcompiles out on it, then compile
-    # flat-backend (packed/vectorized) jobs in the parent (one warm
-    # cache serves the whole batch) and ship only the flat payload;
-    # stepper jobs go whole, compiling against the worker's own cache
+    # compiles can fan region subcompiles out on it, then compile packed
+    # jobs in the parent (one warm cache serves the whole batch) and
+    # ship only the flat payload; stepper jobs go whole, compiling
+    # against the worker's own cache
     owned: multiprocessing.pool.Pool | None = None
     if pool is None:
         owned = multiprocessing.Pool(
@@ -404,9 +404,7 @@ def _run_pooled(
     premade: dict[int, BatchResult] = {}
     meta: dict[int, tuple] = {}
     for i, job in enumerate(jobs):
-        if (job.config or _DEFAULT_CONFIG).backend() not in (
-            "packed", "vectorized"
-        ):
+        if (job.config or _DEFAULT_CONFIG).backend() != "packed":
             items.append(("job", i, job))
             continue
         name = job.name or f"job{i}"

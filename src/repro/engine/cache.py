@@ -44,8 +44,9 @@ from ..translate.pipeline import CompiledProgram, CompileOptions, compile_progra
 #: (v2: CompiledProgram carries the lowered PackedGraph alongside the
 #: source graph, so cached entries are run-ready without re-lowering;
 #: v3: region-compiled entries — cfg=None, pass_log led by the
-#: region_stitch certificate — share the store with monolithic ones)
-CACHE_FORMAT = "repro-graph-cache-v3"
+#: region_stitch certificate — share the store with monolithic ones;
+#: v4: PackedGraph stores per-port fan-out tuples instead of CSR arrays)
+CACHE_FORMAT = "repro-graph-cache-v4"
 
 #: commit-point file of a cache snapshot directory (written atomically
 #: *after* every entry, so a snapshot is either complete or invisible)
@@ -352,14 +353,14 @@ class GraphCache:
         """Persist the in-memory tier to ``snapshot_dir`` so a restarted
         process can come up warm.
 
-        Entries are written in the v3 on-disk layout
+        Entries are written in the disk tier's layout
         (``<dir>/<key[:2]>/<key>.pkl``, atomic temp+rename, packed blob
         ensured first so restored entries are run-ready); the manifest
         is written atomically **last** and is the commit point.  Old
         entry files are never deleted, so a crash — even ``kill -9`` —
         mid-snapshot leaves the previous manifest valid and pointing at
         complete files.  ``state`` is an opaque JSON-able dict stored in
-        the manifest (the server keeps tier-controller state there).
+        the manifest.
 
         Returns the number of entries the committed manifest lists, or
         0 when the manifest could not be written (snapshot unchanged).

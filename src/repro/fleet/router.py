@@ -95,17 +95,11 @@ class FleetConfig:
     # atomically and content-addressed, so concurrent shards are safe,
     # and a respawned shard comes back up with a warm disk tier
     cache_dir: str | None = None
-    # warm restart: each shard snapshots its memory tier + tiering state
-    # to ``<snapshot_dir>/shard-<i>`` (per-shard subdirectories — shard
-    # identity is its ring index, so a respawn restores its own state)
+    # warm restart: each shard snapshots its memory tier to
+    # ``<snapshot_dir>/shard-<i>`` (per-shard subdirectories — shard
+    # identity is its ring index, so a respawn restores its own entries)
     snapshot_dir: str | None = None
     snapshot_interval_s: float = 0.0
-    # adaptive tiering knobs, passed straight to every shard server
-    tiering: bool = False
-    tier_entry: str = "fast"
-    tier_max: str = "vectorized"
-    tier_thresholds: tuple[int, ...] = (8, 64)
-    tier_decay_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -347,6 +341,7 @@ class ShardLink:
             entry.t_sent = time.monotonic()
             self.inflight[entry.rid] = entry
             sent = False
+            writer = None
             try:
                 async with self._wlock:
                     writer = self._writer
@@ -361,7 +356,8 @@ class ShardLink:
                 if entry.deadline_handle is not None:
                     entry.deadline_handle.cancel()
                     entry.deadline_handle = None
-            elif (
+                continue
+            if (
                 self.inflight.pop(entry.rid, None) is not None
                 and entry.state is SENT
             ):
@@ -369,6 +365,14 @@ class ShardLink:
                 # not failed this entry: put it back for the reconnect
                 entry.state = QUEUED
                 self.outbox.appendleft(entry)
+            if writer is not None and writer is self._writer:
+                # The reader has not torn this connection down yet.  Wait
+                # for _run to reconnect instead of writing into it again:
+                # once the stream holds an error, drain() raises without
+                # yielding, so retrying here would spin the event loop
+                # and starve the reader that ends the connection.
+                self.connected.clear()
+                writer.close()
 
     def _fail_inflight(self, code: str, detail: str) -> None:
         entries = list(self.inflight.values())
@@ -459,11 +463,6 @@ class FleetRouter:
                     else None
                 ),
                 snapshot_interval_s=config.snapshot_interval_s,
-                tiering=config.tiering,
-                tier_entry=config.tier_entry,
-                tier_max=config.tier_max,
-                tier_thresholds=config.tier_thresholds,
-                tier_decay_s=config.tier_decay_s,
             )
             for i in range(config.shards)
         ]
@@ -716,9 +715,6 @@ class FleetRouter:
         elif op == "metrics":
             await conn.send({"ok": True, "op": "metrics",
                              "metrics": await self.metrics_snapshot()})
-        elif op == "tiers":
-            await conn.send({"ok": True, "op": "tiers",
-                             "tiers": await self.tiers_snapshot()})
         elif op == "trace":
             tid = msg.get("trace_id")
             if not isinstance(tid, str) or not tid:
@@ -937,40 +933,6 @@ class FleetRouter:
                 "forwarded_rejects": self._c["forwarded_rejects"].value,
                 "max_pending": self.config.max_pending,
             },
-            "shards": shards,
-        }
-
-    async def tiers_snapshot(self) -> dict:
-        """Fleet-wide tiering view: totals summed over live shards, the
-        hottest graphs pooled across the fleet, and each shard's own
-        ``tiers`` payload under ``shards``."""
-        replies = await self._shard_replies("tiers")
-        shards: dict[str, dict] = {}
-        totals = {"graphs": 0, "promotions": 0, "demotions": 0,
-                  "prewarms": 0}
-        top: list[dict] = []
-        enabled = False
-        for link, reply in zip(self.links, replies):
-            idx = str(link.shard.index)
-            if reply is None or not reply.get("ok"):
-                shards[idx] = {"up": False}
-                continue
-            t = reply["tiers"]
-            t["up"] = True
-            shards[idx] = t
-            if t.get("enabled"):
-                enabled = True
-                for k in totals:
-                    totals[k] += int(t.get(k, 0))
-                for row in t.get("top", []):
-                    top.append({**row, "shard": link.shard.index})
-        top.sort(key=lambda r: -r.get("hotness", 0.0))
-        return {
-            "enabled": enabled,
-            **totals,
-            "top": top[:50],
-            "snapshot": {"dir": self.config.snapshot_dir,
-                         "interval_s": self.config.snapshot_interval_s},
             "shards": shards,
         }
 

@@ -39,11 +39,6 @@ class ShardProcess:
         log_path: str | None = None,
         snapshot_dir: str | None = None,
         snapshot_interval_s: float = 0.0,
-        tiering: bool = False,
-        tier_entry: str = "fast",
-        tier_max: str = "vectorized",
-        tier_thresholds: tuple[int, ...] = (8, 64),
-        tier_decay_s: float = 10.0,
     ):
         self.index = index
         self.socket_path = socket_path
@@ -55,11 +50,6 @@ class ShardProcess:
         self.log_path = log_path
         self.snapshot_dir = snapshot_dir
         self.snapshot_interval_s = snapshot_interval_s
-        self.tiering = tiering
-        self.tier_entry = tier_entry
-        self.tier_max = tier_max
-        self.tier_thresholds = tuple(tier_thresholds)
-        self.tier_decay_s = tier_decay_s
         self.proc: subprocess.Popen | None = None
         self.spawns = 0  # total spawns; spawns - 1 == respawns
 
@@ -79,15 +69,6 @@ class ShardProcess:
         if self.snapshot_dir is not None:
             argv += ["--snapshot-dir", self.snapshot_dir,
                      "--snapshot-interval", str(self.snapshot_interval_s)]
-        if self.tiering:
-            argv += [
-                "--tiering",
-                "--tier-entry", self.tier_entry,
-                "--tier-max", self.tier_max,
-                "--tier-thresholds",
-                ",".join(str(t) for t in self.tier_thresholds),
-                "--tier-decay-s", str(self.tier_decay_s),
-            ]
         return argv
 
     def spawn(self) -> None:

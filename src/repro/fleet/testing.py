@@ -9,11 +9,13 @@ the actual multi-process topology, including ``kill -9``.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import os
 import shutil
 import tempfile
 import threading
+import time
 
 from ..service.testing import _SUN_PATH_MAX
 from .router import FleetConfig, FleetRouter
@@ -33,7 +35,8 @@ def ephemeral_fleet_dir() -> str:
 
 class FleetThread:
     """Run one router (plus its shard subprocesses) on an event-loop
-    thread; ``start()`` blocks until the router socket listens."""
+    thread; ``start()`` blocks until the router socket listens and every
+    shard link has connected."""
 
     def __init__(self, config: FleetConfig):
         self.config = config
@@ -64,6 +67,7 @@ class FleetThread:
                 self._ready.set()
 
     def start(self, timeout: float = 30.0) -> dict:
+        t0 = time.monotonic()
         self._thread.start()
         if not self._ready.wait(timeout):
             raise TimeoutError("fleet router did not start listening in time")
@@ -71,7 +75,23 @@ class FleetThread:
             raise RuntimeError(
                 f"fleet failed to start: {self._startup_error!r}"
             )
+        # the router listens as soon as it has spawned its shards, but a
+        # shard still importing would show as down in stats and metrics
+        connected = asyncio.run_coroutine_threadsafe(
+            self._shards_connected(), self._loop
+        )
+        try:
+            connected.result(max(0.0, timeout - (time.monotonic() - t0)))
+        except concurrent.futures.TimeoutError:
+            connected.cancel()
+            self.stop()
+            raise TimeoutError("fleet shards did not connect in time")
         return self.router.endpoint
+
+    async def _shards_connected(self) -> None:
+        await asyncio.gather(
+            *(link.connected.wait() for link in self.router.links)
+        )
 
     def stop(self, timeout: float = 60.0) -> None:
         if self._loop is not None and self._thread.is_alive():

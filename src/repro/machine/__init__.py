@@ -36,7 +36,6 @@ from .istructure import IStructureMemory
 from .metrics import Metrics
 from .simulator import SimResult, Simulator, simulate_graph
 from .packed import PackedGraph, PackedProgram, PackedSimulator, pack_graph
-from .vectorized import VectorizedSimulator
 
 __all__ = [
     "ACCESS",
@@ -58,7 +57,6 @@ __all__ = [
     "Simulator",
     "Token",
     "TokenClashError",
-    "VectorizedSimulator",
     "pack_graph",
     "simulate_graph",
 ]

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: accepted ``sim_mode`` values
+SIM_MODES = ("auto", "step", "packed")
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -49,18 +52,14 @@ class MachineConfig:
     #: good locality for graphs built in program order), or "random"
     #: (seeded by ``seed``).
     partition: str = "round_robin"
-    #: Scheduler loop selection.  ``"auto"`` uses the vectorized
-    #: graph-as-matrices interpreter whenever it is exact — unlimited PEs
-    #: and no k-bounded throttling — and the general per-cycle scheduler
-    #: otherwise.  ``"step"`` forces the per-cycle scheduler (the
-    #: differential-testing baseline); ``"fast"`` demands the
-    #: event-driven fast loop over the object graph; ``"packed"`` demands
-    #: the flat-array interpreter over the lowered
-    #: :class:`~repro.machine.packed.PackedGraph`; ``"vectorized"``
-    #: demands the bucket-queue bulk-front interpreter over the same
-    #: lowering (:class:`~repro.machine.vectorized.VectorizedSimulator`).
-    #: ``fast``, ``packed``, and ``vectorized`` are rejected when a
-    #: finite ``num_pes`` or a ``loop_bound`` makes arbitration stateful.
+    #: Scheduler loop selection.  ``"auto"`` runs the flat-array packed
+    #: interpreter whenever it is exact — unlimited PEs and no k-bounded
+    #: throttling — and the general per-cycle scheduler otherwise.
+    #: ``"step"`` forces the per-cycle scheduler (the differential-testing
+    #: reference); ``"packed"`` demands the packed interpreter over the
+    #: lowered :class:`~repro.machine.packed.PackedGraph` and is rejected
+    #: when a finite ``num_pes`` or a ``loop_bound`` makes arbitration
+    #: stateful.
     sim_mode: str = "auto"
 
     def __post_init__(self) -> None:
@@ -81,27 +80,26 @@ class MachineConfig:
                 "network_latency needs a finite num_pes (tokens must have "
                 "PEs to travel between)"
             )
-        if self.sim_mode not in (
-            "auto", "fast", "step", "packed", "vectorized"
-        ):
-            raise ValueError(f"bad sim_mode {self.sim_mode!r}")
-        if self.sim_mode in ("fast", "packed", "vectorized") and (
+        if self.sim_mode not in SIM_MODES:
+            raise ValueError(
+                f"bad sim_mode {self.sim_mode!r}; pick from "
+                + ", ".join(SIM_MODES)
+            )
+        if self.sim_mode == "packed" and (
             self.num_pes is not None or self.loop_bound is not None
         ):
             raise ValueError(
-                f"sim_mode={self.sim_mode!r} requires num_pes=None and "
+                "sim_mode='packed' requires num_pes=None and "
                 "loop_bound=None (PE arbitration and k-bounding need "
                 "per-cycle stepping)"
             )
 
     def backend(self) -> str:
         """Resolve ``sim_mode`` to the loop that will actually run:
-        ``"vectorized"``, ``"packed"``, ``"fast"``, or ``"step"``.
-        ``auto`` prefers the vectorized bulk-front interpreter whenever
-        it is exact (same preconditions as ``packed``: idealized
-        machine, no k-bounding)."""
+        ``"packed"`` or ``"step"``.  ``auto`` picks ``packed`` on the
+        idealized machine with no k-bounding."""
         if self.sim_mode != "auto":
             return self.sim_mode
         if self.num_pes is None and self.loop_bound is None:
-            return "vectorized"
+            return "packed"
         return "step"

@@ -1,13 +1,12 @@
 """Packed-graph execution backend: the flat-array ETS interpreter.
 
-The general :class:`~repro.machine.simulator.Simulator` walks the
+The reference :class:`~repro.machine.simulator.Simulator` walks the
 object-graph :class:`~repro.dfg.graph.DFGraph` — per-token ``dict``
 lookups, ``OpKind`` enum chains, and tuple-of-dataclass ``Context`` tags
 whose hashes are recomputed on every frame probe.  This module compiles a
 validated graph **once** into a :class:`PackedGraph` — struct-of-arrays
-form (integer opcodes, arity and latency tables, CSR fan-out adjacency,
-precomputed per-node dispatch records) — and executes it with
-:class:`PackedSimulator`, whose inner loop:
+form (integer opcodes, arity and latency tables, per-port fan-out tuples)
+— and executes it with :class:`PackedSimulator`, whose inner loop:
 
 * addresses waiting-matching frame slots by a single integer key
   ``ctx_id * n_nodes + node_index`` into one flat dict (the paper's O(1)
@@ -20,21 +19,20 @@ precomputed per-node dispatch records) — and executes it with
   pre-resolved operator callables, folding per-firing metric updates into
   per-batch counters.
 
-The loop is a line-for-line mirror of the event-driven fast loop
-(:meth:`Simulator._loop_fast`): same heap order, same delivery order, same
-firing batches — so memory, ``end_values``, every :class:`Metrics` field
-(including resource peaks and the parallelism profile), and the recorded
-clash list are bit-identical.  The differential suite in
+The loop is event-driven: every enabled activity fires the cycle it
+becomes enabled and the clock jumps straight between event times.  Its
+memory, ``end_values``, deterministic :class:`Metrics` fields, and
+recorded clash list are bit-identical to the per-cycle reference loop
+(``Simulator`` with ``sim_mode="step"``); the differential suite in
 ``tests/engine/test_packed_differential.py`` holds it to that across the
 full corpus × schemas × clash-record mode.
 
-:class:`PackedGraph` is also the engine's *shipping* form: it pickles to a
-few flat tuples (no AST, no CFG, no node objects), so
-:func:`~repro.engine.batch.run_batch` can send a compiled program to a
-pool worker for a fraction of the cost of the full
-:class:`~repro.translate.pipeline.CompiledProgram` object graph.
 :class:`PackedProgram` bundles the packed graph with the memory-image
-spec a worker needs to run it.
+spec needed to run it.  It is the executable every idealized run goes
+through — :func:`~repro.translate.pipeline.simulate`, serial and pooled
+:func:`~repro.engine.batch.run_batch`, and the service — and it pickles
+to a few flat tuples (no AST, no CFG, no node objects), which is what
+pool workers receive.
 """
 
 from __future__ import annotations
@@ -125,12 +123,10 @@ class PackedGraph:
     ``node_ids[i]`` maps back for error messages, traces, and clash
     reports (which must match the reference simulator byte for byte).
 
-    Fan-out adjacency is CSR over (node, output port): the arcs of node
-    ``i``'s port ``p`` are ``arc_dst/arc_port[port_ptr[arc_index[i] + p] :
-    port_ptr[arc_index[i] + p + 1]]``.  ``port_ptr`` has one entry per
-    output port plus a final sentinel, so the slice bound of a node's last
-    port is the next node's first — one cumulative array, no per-node
-    fixup.
+    Fan-out is stored the way the interpreter reads it: ``outs[i][p]``
+    is the tuple of ``(dst index, dst port)`` consumers of node ``i``'s
+    output port ``p``, in arc insertion order, so a run's dispatch table
+    is one ``zip`` over these arrays.
     """
 
     n: int
@@ -145,11 +141,8 @@ class PackedGraph:
     #: variable name, LOOP_* channel count, or None
     aux: tuple
     describe: tuple[str, ...]
-    # CSR fan-out
-    arc_index: tuple[int, ...]
-    port_ptr: tuple[int, ...]
-    arc_dst: tuple[int, ...]
-    arc_port: tuple[int, ...]
+    #: per node, per output port: ((dst index, dst port), ...)
+    outs: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     # endpoints
     start: int
     end: int
@@ -158,12 +151,10 @@ class PackedGraph:
 
     def out_arcs(self, idx: int, port: int) -> list[tuple[int, int]]:
         """(dst index, dst port) consumers of one output port."""
-        base = self.arc_index[idx] + port
-        lo, hi = self.port_ptr[base], self.port_ptr[base + 1]
-        return list(zip(self.arc_dst[lo:hi], self.arc_port[lo:hi]))
+        return list(self.outs[idx][port])
 
     def num_arcs(self) -> int:
-        return len(self.arc_dst)
+        return sum(len(arcs) for ports in self.outs for arcs in ports)
 
 
 def pack_graph(graph: DFGraph) -> PackedGraph:
@@ -173,8 +164,7 @@ def pack_graph(graph: DFGraph) -> PackedGraph:
     index_of = {nid: i for i, nid in enumerate(order)}
 
     opcodes, nins, nouts, dcls, extra_lat, is_mem = [], [], [], [], [], []
-    aux, describe = [], []
-    arc_index, port_ptr, arc_dst, arc_port = [], [], [], []
+    aux, describe, outs = [], [], []
 
     for nid in order:
         node = graph.nodes[nid]
@@ -205,15 +195,11 @@ def pack_graph(graph: DFGraph) -> PackedGraph:
         else:
             aux.append(None)
         describe.append(node.describe())
-
-        arc_index.append(len(port_ptr))
-        outs = graph._out[nid]
-        for p in range(nout):
-            port_ptr.append(len(arc_dst))
-            for arc in outs.get(p, ()):  # preserve arc insertion order
-                arc_dst.append(index_of[arc.dst])
-                arc_port.append(arc.dst_port)
-    port_ptr.append(len(arc_dst))
+        by_port = graph._out[nid]
+        outs.append(tuple(
+            tuple((index_of[a.dst], a.dst_port) for a in by_port.get(p, ()))
+            for p in range(nout)
+        ))
 
     start_node = graph.node(graph.start)
     end_node = graph.node(graph.end)
@@ -228,10 +214,7 @@ def pack_graph(graph: DFGraph) -> PackedGraph:
         is_mem=tuple(is_mem),
         aux=tuple(aux),
         describe=tuple(describe),
-        arc_index=tuple(arc_index),
-        port_ptr=tuple(port_ptr),
-        arc_dst=tuple(arc_dst),
-        arc_port=tuple(arc_port),
+        outs=tuple(outs),
         start=index_of[graph.start],
         end=index_of[graph.end],
         seeds=tuple((s.kind, s.label) for s in start_node.seeds),
@@ -276,20 +259,14 @@ class PackedProgram:
         config: MachineConfig | None = None,
     ) -> SimResult:
         mem, ist = self.memories(inputs)
-        cfg = config or MachineConfig()
-        if cfg.backend() == "vectorized":
-            from .vectorized import VectorizedSimulator  # circular-safe
-
-            return VectorizedSimulator(self.packed, mem, ist, cfg).run()
-        return PackedSimulator(self.packed, mem, ist, cfg).run()
+        return PackedSimulator(self.packed, mem, ist, config).run()
 
 
 class PackedSimulator:
     """The flat-array ETS interpreter over one :class:`PackedGraph`.
 
-    Exact observable twin of the reference :class:`Simulator` running the
-    event-driven fast loop; requires the same preconditions (``num_pes``
-    unset, ``loop_bound`` unset).
+    Exact observable twin of the reference :class:`Simulator` on the
+    idealized machine; requires ``num_pes`` and ``loop_bound`` unset.
     """
 
     def __init__(
@@ -311,24 +288,20 @@ class PackedSimulator:
 
         cfg = self.config
         # per-node dispatch records: (opcode, total latency, per-port arc
-        # tuple, resolved payload) — one index, one unpack per firing
-        rt = []
+        # tuples, resolved payload) — one index, one unpack per firing
         pg = packed
-        for i in range(pg.n):
-            op = pg.opcodes[i]
-            lat = (
-                cfg.memory_latency if pg.is_mem[i] else cfg.alu_latency
-            ) + pg.extra_lat[i]
-            outs = tuple(
-                tuple(pg.out_arcs(i, p)) for p in range(pg.nout[i])
-            )
-            a = pg.aux[i]
-            if op == OP_BINOP:
-                a = BINOP_FUNCS[a]
-            elif op == OP_UNOP:
-                a = UNOP_FUNCS[a]
-            rt.append((op, lat, outs, a))
-        self._rt = rt
+        mem_lat, alu_lat = cfg.memory_latency, cfg.alu_latency
+        lats = [
+            (mem_lat if m else alu_lat) + x
+            for m, x in zip(pg.is_mem, pg.extra_lat)
+        ]
+        payload = [
+            BINOP_FUNCS[a] if op == OP_BINOP
+            else UNOP_FUNCS[a] if op == OP_UNOP
+            else a
+            for op, a in zip(pg.opcodes, pg.aux)
+        ]
+        self._rt = list(zip(pg.opcodes, lats, pg.outs, payload))
 
         # interned integer tag contexts: id 0 is ROOT; parents/activations/
         # iterations are parallel arrays, (parent, act, iter) -> id interns
@@ -445,9 +418,9 @@ class PackedSimulator:
         )
 
     def _loop(self) -> None:
-        """The inlined deliver/match/fire loop.  Control flow mirrors
-        :meth:`Simulator._loop_fast` checkpoint for checkpoint; only the
-        data representation differs."""
+        """The inlined deliver/match/fire loop: deliver every token due
+        this cycle, then fire every enabled activity, then jump the clock
+        to the next event time."""
         cfg = self.config
         pg = self.pg
         N = pg.n

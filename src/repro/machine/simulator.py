@@ -47,17 +47,17 @@ class SimResult:
     #: host seconds spent inside :meth:`Simulator.run` (wall clock, not
     #: simulated cycles) — the denominator of engine speedup claims
     wall_time: float = 0.0
-    #: True when the run used the event-driven fast loop
+    #: True when the run used the event-driven packed loop
     fast_path: bool = False
     #: set by the engine layer: the compiled graph came from the cache
     cache_hit: bool = False
     #: token-occupancy high-water samples: one ``[cycle, tokens_in_flight,
     #: waiting_frames, enabled]`` row each time tokens-in-flight reaches a
     #: new peak.  Bounded (peaks are monotone) and loop-dependent: the
-    #: sampling points of the fast and step loops may differ even when
+    #: sampling points of the packed and step loops may differ even when
     #: their metrics are identical.
     occupancy: list = field(default_factory=list)
-    #: which scheduler loop ran: "step", "fast", "packed", or "vectorized"
+    #: which scheduler loop ran: "step" or "packed"
     backend: str = ""
 
 
@@ -111,14 +111,9 @@ class Simulator:
         memory: DataMemory | None = None,
         istructs: IStructureMemory | None = None,
         config: MachineConfig | None = None,
-        packed=None,
     ):
         graph.validate(allow_dangling_outputs=True)
         self.graph = graph
-        #: pre-lowered PackedGraph, if the caller already paid for packing
-        #: (the engine caches it next to the graph); otherwise lowered on
-        #: demand the first time the packed backend is selected
-        self._packed = packed
         self.memory = memory if memory is not None else DataMemory()
         self.istructs = istructs if istructs is not None else IStructureMemory()
         self.config = config or MachineConfig()
@@ -400,7 +395,7 @@ class Simulator:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimResult:
-        if self.config.backend() in ("packed", "vectorized"):
+        if self.config.backend() == "packed":
             return self._run_packed()
         t0 = time.perf_counter()
         start = self.graph.node(self.graph.start)
@@ -413,11 +408,7 @@ class Simulator:
             for arc in self.graph.consumers(start.id, port):
                 self._schedule(Token(arc.dst, arc.dst_port, value, ROOT), 0)
 
-        fast = self._use_fast_path()
-        if fast:
-            self._loop_fast()
-        else:
-            self._loop_step()
+        self._loop_step()
 
         self.metrics.cycles = self._cycle
         self._check_completion()
@@ -438,28 +429,19 @@ class Simulator:
             clashes=self.clashes,
             trace=self.trace,
             wall_time=time.perf_counter() - t0,
-            fast_path=fast,
             occupancy=self._occupancy,
-            backend="fast" if fast else "step",
+            backend="step",
         )
 
     def _run_packed(self) -> SimResult:
-        """Delegate to the flat-array (or vectorized) interpreter, then
-        adopt its bookkeeping so this Simulator reads as if it ran the
-        loop itself (callers inspect ``.metrics``/``.clashes``/``.trace``
-        post-run)."""
+        """Lower the graph and delegate to the flat-array interpreter,
+        then adopt its bookkeeping so this Simulator reads as if it ran
+        the loop itself (callers inspect ``.metrics``/``.clashes``/
+        ``.trace`` post-run)."""
         from .packed import PackedSimulator, pack_graph  # circular-safe
 
-        if self._packed is None:
-            self._packed = pack_graph(self.graph)
-        if self.config.backend() == "vectorized":
-            from .vectorized import VectorizedSimulator
-
-            sim_cls = VectorizedSimulator
-        else:
-            sim_cls = PackedSimulator
-        ps = sim_cls(
-            self._packed, self.memory, self.istructs, self.config
+        ps = PackedSimulator(
+            pack_graph(self.graph), self.memory, self.istructs, self.config
         )
         ps.profile_hook = self.profile_hook
         result = ps.run()
@@ -470,72 +452,12 @@ class Simulator:
         self._cycle = ps._cycle
         return result
 
-    def _use_fast_path(self) -> bool:
-        return self.config.backend() == "fast"
-
-    def _loop_fast(self) -> None:
-        """Event-driven scheduler for the idealized machine: no PE
-        arbitration state, so every enabled activity fires the cycle it
-        becomes enabled and the clock jumps straight between event times.
-        Produces cycle counts, operation counts, and final memory identical
-        to :meth:`_loop_step` (the differential suite holds it to that)."""
-        cfg = self.config
-        heap = self._heap
-        enabled = self._enabled
-        frame_slots = self._frames.slots
-        m = self.metrics
-        deliver = self._deliver
-        fire = self._fire
-        pop = heapq.heappop
-        max_cycles = cfg.max_cycles
-        max_ops = cfg.max_ops
-        while True:
-            if not heap:
-                # quiescent: deferred I-structure reads of elements no
-                # write can ever fill now read the default (0), matching
-                # zero-initialized updatable arrays
-                released = self.istructs.release_pending_with_default()
-                if not released:
-                    break
-                for (wnid, wctx), value in released:
-                    self._emit(
-                        self.graph.node(wnid), 0, value, wctx,
-                        cfg.memory_latency,
-                    )
-                continue
-            t = heap[0][0]
-            if t > self._cycle:
-                self._cycle = t
-            n = len(heap)
-            if n > m.peak_tokens_in_flight:
-                m.peak_tokens_in_flight = n
-                self._sample_occupancy(n, len(frame_slots), len(enabled))
-            cyc = self._cycle
-            while heap and heap[0][0] <= cyc:
-                deliver(pop(heap)[2])
-            nf = len(frame_slots)
-            if nf > m.peak_waiting_frames:
-                m.peak_waiting_frames = nf
-            ne = len(enabled)
-            if ne > m.peak_enabled:
-                m.peak_enabled = ne
-            if not enabled:
-                continue
-            for act in enabled:
-                fire(act)
-            enabled.clear()
-            self._cycle += 1
-            if self._cycle > max_cycles:
-                raise SimulationLimitError(f"exceeded {max_cycles} cycles")
-            if m.operations > max_ops:
-                raise SimulationLimitError(f"exceeded {max_ops} operations")
-
     def _loop_step(self) -> None:
         """The general per-cycle scheduler: steps the clock a cycle at a
         time whenever work is backlogged, which is what finite-PE
         arbitration and k-bounded throttling need.  This is the seed
-        implementation's loop, unchanged — it doubles as the baseline the
-        fast loop is differentially tested against."""
+        implementation's loop, unchanged — it doubles as the reference
+        the packed interpreter is differentially tested against."""
         cfg = self.config
         heap = self._heap
         enabled = self._enabled

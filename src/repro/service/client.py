@@ -247,18 +247,6 @@ class ServiceClient:
                                frame.get("detail", ""))
         return frame["metrics"]
 
-    def tiers(self) -> dict:
-        """The server's adaptive-tiering state: ladder config, per-tier
-        graph counts, promotion/demotion totals, hottest graphs, and
-        snapshot/restore status (``{"enabled": False, ...}`` when the
-        server runs without tiering)."""
-        self._send({"op": "tiers"})
-        frame = self._wait_control("tiers")
-        if not frame.get("ok"):
-            raise ServiceError(frame.get("error", "unknown"),
-                               frame.get("detail", ""))
-        return frame["tiers"]
-
     def trace(self, trace_id: str) -> list[dict]:
         """Spans the server holds for one trace id, as wire dicts
         (render with :func:`repro.obs.trace.render_tree`)."""
@@ -450,13 +438,6 @@ class AsyncServiceClient:
             raise ServiceError(frame.get("error", "unknown"),
                                frame.get("detail", ""))
         return frame["metrics"]
-
-    async def tiers(self) -> dict:
-        frame = await self._control("tiers")
-        if not frame.get("ok"):
-            raise ServiceError(frame.get("error", "unknown"),
-                               frame.get("detail", ""))
-        return frame["tiers"]
 
     async def trace(self, trace_id: str) -> list[dict]:
         frame = await self._control("trace", trace_id=trace_id)

@@ -11,7 +11,6 @@ Requests::
     {"op": "stats"}
     {"op": "metrics"}
     {"op": "trace", "trace_id": "deadbeef01020304"}
-    {"op": "tiers"}
     {"op": "ping"}
     {"op": "shutdown"}
 
@@ -20,7 +19,6 @@ Responses::
     {"ok": true,  "op": "submit", "id": ..., "result": {...BatchResult...}}
     {"ok": false, "op": "submit", "id": ..., "error": "queue_full", ...}
     {"ok": true,  "op": "stats", "stats": {...}}
-    {"ok": true,  "op": "tiers", "tiers": {"enabled": ..., ...}}
 
 Transport-level rejections use the ``error`` codes in :data:`REJECTIONS`;
 a job that *ran* but raised comes back ``ok: true`` with the captured

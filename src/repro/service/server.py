@@ -31,14 +31,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from ..engine import (
-    GraphCache,
-    LatencySummary,
-    TierController,
-    TieringConfig,
-    make_pool,
-    run_batch,
-)
+from ..engine import GraphCache, LatencySummary, make_pool, run_batch
 from ..engine.batch import BatchJob
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Span, new_span_id, new_trace_id, tracer
@@ -86,21 +79,10 @@ class ServiceConfig:
     #: (and every ``snapshot_interval_s`` seconds when > 0)
     snapshot_dir: str | None = None
     snapshot_interval_s: float = 0.0
-    #: adaptive tiering (the service-as-JIT): auto-promote cached graphs
-    #: through the tier ladder by observed hit count
-    tiering: bool = False
-    tier_entry: str = "fast"
-    tier_max: str = "vectorized"
-    tier_thresholds: tuple[int, ...] = (8, 64)
-    tier_demote_ratio: float = 0.25
-    tier_decay_s: float = 10.0
-    tier_prewarm: bool = True
 
     def __post_init__(self) -> None:
         if self.path is None and self.host is None:
             raise ValueError("need a UNIX socket path or a TCP host")
-        if isinstance(self.tier_thresholds, list):
-            self.tier_thresholds = tuple(self.tier_thresholds)
 
 
 class _Conn:
@@ -191,22 +173,6 @@ class ServiceServer:
             stage: self.registry.histogram(f"service.latency_ms.{stage}")
             for stage in LATENCY_STAGES
         }
-        # the tiering JIT: hotness-driven per-graph tier promotion.
-        # Shares the server registry so tiering.* counters show up in
-        # the metrics op alongside everything else.
-        self.tiering: TierController | None = None
-        if config.tiering:
-            self.tiering = TierController(
-                TieringConfig(
-                    entry_tier=config.tier_entry,
-                    max_tier=config.tier_max,
-                    thresholds=tuple(config.tier_thresholds),
-                    demote_ratio=config.tier_demote_ratio,
-                    prewarm=config.tier_prewarm,
-                ),
-                registry=self.registry,
-                cache=self.cache,
-            )
 
     # read-only views of the job-outcome counters (handy in tests/tools)
     @property
@@ -244,10 +210,8 @@ class ServiceServer:
         if cfg.snapshot_dir is not None:
             # come up warm *before* accepting connections: the first
             # resubmission of any snapshotted graph is a cache hit
-            loaded, state = self.cache.restore(cfg.snapshot_dir)
+            loaded, _ = self.cache.restore(cfg.snapshot_dir)
             self.registry.gauge("service.snapshot.restored").set(loaded)
-            if self.tiering is not None:
-                self.tiering.restore_state(state.get("tiers"))
         if cfg.pool_size > 1:
             self.pool = make_pool(
                 cfg.pool_size, cache_dir=cfg.cache_dir, capacity=cfg.capacity
@@ -263,21 +227,12 @@ class ServiceServer:
             )
         self._t0 = time.monotonic()
         self._batcher_task = asyncio.create_task(self.batcher.run())
-        if self.tiering is not None and cfg.tier_decay_s > 0:
-            self._bg_tasks.append(
-                asyncio.create_task(self._decay_loop(cfg.tier_decay_s))
-            )
         if cfg.snapshot_dir is not None and cfg.snapshot_interval_s > 0:
             self._bg_tasks.append(
                 asyncio.create_task(
                     self._snapshot_loop(cfg.snapshot_interval_s)
                 )
             )
-
-    async def _decay_loop(self, interval_s: float) -> None:
-        while True:
-            await asyncio.sleep(interval_s)
-            self.tiering.decay()
 
     async def _snapshot_loop(self, interval_s: float) -> None:
         while True:
@@ -288,14 +243,11 @@ class ServiceServer:
             )
 
     def write_snapshot(self) -> int:
-        """Blocking: persist cache entries + tier state to the
-        configured snapshot dir.  Returns entries committed."""
+        """Blocking: persist cache entries to the configured snapshot
+        dir.  Returns entries committed."""
         if self.config.snapshot_dir is None:
             return 0
-        state = {}
-        if self.tiering is not None:
-            state["tiers"] = self.tiering.state_blob()
-        n = self.cache.snapshot(self.config.snapshot_dir, state=state)
+        n = self.cache.snapshot(self.config.snapshot_dir)
         self.registry.counter("service.snapshot.writes").inc()
         self.registry.gauge("service.snapshot.entries").set(n)
         return n
@@ -340,8 +292,6 @@ class ServiceServer:
         await self._teardown()
 
     async def _teardown(self) -> None:
-        if self.tiering is not None:
-            self.tiering.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -371,10 +321,6 @@ class ServiceServer:
 
     def _run_jobs(self, jobs: list[BatchJob]):
         """Blocking engine call; runs on the executor thread."""
-        if self.tiering is not None:
-            # JIT tier assignment: each job that left its tier to the
-            # service runs at its graph's current rung (one hit each)
-            jobs = [self.tiering.assign(job) for job in jobs]
         if self.pool is not None:
             return run_batch(jobs, pool=self.pool, cache=self.cache)
         return run_batch(jobs, pool_size=1, cache=self.cache)
@@ -519,9 +465,6 @@ class ServiceServer:
         elif op == "metrics":
             await conn.send({"ok": True, "op": "metrics",
                              "metrics": self.metrics_snapshot()})
-        elif op == "tiers":
-            await conn.send({"ok": True, "op": "tiers",
-                             "tiers": self.tiers_snapshot()})
         elif op == "trace":
             tid = msg.get("trace_id")
             if not isinstance(tid, str) or not tid:
@@ -670,6 +613,16 @@ class ServiceServer:
             "cancelled": self.cancelled,
             "jobs_per_s": done / uptime if uptime > 0 else 0.0,
             "cache": cache,
+            "snapshot": {
+                "dir": self.config.snapshot_dir,
+                "interval_s": self.config.snapshot_interval_s,
+                "writes": int(
+                    self.registry.counter("service.snapshot.writes").value
+                ),
+                "restored": int(
+                    self.registry.gauge("service.snapshot.restored").value
+                ),
+            },
             "latency_ms": {
                 stage: self._stage_summary(h, samples)
                 for stage, h in self._h.items()
@@ -682,25 +635,6 @@ class ServiceServer:
         out = LatencySummary.from_samples(ring).to_json()
         if with_samples:
             out["samples"] = [float(x) for x in ring]
-        return out
-
-    def tiers_snapshot(self) -> dict:
-        """The ``tiers`` op payload: controller state plus the snapshot
-        configuration, or ``{"enabled": False}`` when tiering is off."""
-        if self.tiering is None:
-            out = {"enabled": False}
-        else:
-            out = self.tiering.snapshot()
-        out["snapshot"] = {
-            "dir": self.config.snapshot_dir,
-            "interval_s": self.config.snapshot_interval_s,
-            "writes": int(
-                self.registry.counter("service.snapshot.writes").value
-            ),
-            "restored": int(
-                self.registry.gauge("service.snapshot.restored").value
-            ),
-        }
         return out
 
     def metrics_snapshot(self) -> dict:

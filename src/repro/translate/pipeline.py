@@ -143,7 +143,7 @@ class CompiledProgram:
     expansion: object | None = None  # subroutine ExpansionReport, if any
     opt_report: object | None = None  # cfg OptReport when optimize=True
     #: the graph lowered to flat arrays (see repro.machine.packed), built
-    #: lazily on first packed-backend run and persisted by the graph cache
+    #: lazily on first packed run and persisted by the graph cache
     packed: object | None = None
     #: memoized shipping payload (packed graph + memory spec); rebuilt
     #: payloads would re-derive the same tuples on every pooled batch
@@ -343,15 +343,19 @@ def simulate(
     inputs: dict[str, int] | None = None,
     config: MachineConfig | None = None,
 ) -> SimResult:
-    """Run a compiled program on the ETS machine."""
-    mem, ist = cp.memories(inputs)
+    """Run a compiled program on the ETS machine.
+
+    Idealized configs run the memoized executable
+    (:meth:`CompiledProgram.packed_program`), the same path pool workers
+    and the service take; the per-cycle reference loop runs the object
+    graph.  Either way the graph is validated first, since it stays
+    mutable after compilation."""
     cfg = config or MachineConfig()
-    packed = (
-        cp.ensure_packed()
-        if cfg.backend() in ("packed", "vectorized")
-        else None
-    )
-    return Simulator(cp.graph, mem, ist, config, packed=packed).run()
+    if cfg.backend() == "packed":
+        cp.graph.validate(allow_dangling_outputs=True)
+        return cp.packed_program().run(inputs, cfg)
+    mem, ist = cp.memories(inputs)
+    return Simulator(cp.graph, mem, ist, cfg).run()
 
 
 def run_source(

@@ -11,7 +11,7 @@ correctness gate every future backend must pass:
   ops, alias declarations, integer ranges) plus input vectors;
 * :mod:`~repro.validate.oracle` — runs one program through the AST
   interpreter, the CFG interpreter, and every legal translation schema
-  under the fast/step/packed simulator loops (cached and uncached), and
+  under the step/packed simulator loops (cached and uncached), and
   classifies any disagreement;
 * :mod:`~repro.validate.reduce` — ddmin-style shrinking of a diverging
   program at statement/block granularity, emitting a replayable repro;

@@ -8,20 +8,13 @@ and one input vector it executes:
 * the **AST interpreter** (the reference operational semantics);
 * the **CFG interpreter** (raw CFG and, implicitly, the loop-augmented
   one every compiled program carries);
-* every **legal translation schema** × the **step/fast/packed/
-  vectorized** simulator loops, plus a finite-PE stepped run
-  (memory-only check);
+* every **legal translation schema** × the **step/packed** simulator
+  loops, plus a finite-PE stepped run (memory-only check);
 * the **region-compiled** route (``region_compile=on`` with a small
   region budget) against the monolithic graph of the same schema —
   structural statistics plus a stepped run;
 * the **cached** compile path (memory tier, and the disk tier when a
-  ``cache_dir`` is given) against the fresh compile;
-* the **tier-promotion** route: a :class:`~repro.engine.tiering.
-  TierController` with tiny thresholds walks the cached graph
-  fast → packed → vectorized across three hits, and every promoted run
-  must match the reference memory and the entry tier's end values and
-  deterministic metrics (the boundary the service's adaptive JIT
-  crosses in production).
+  ``cache_dir`` is given) against the fresh compile.
 
 and classifies any disagreement as a :class:`Divergence`:
 
@@ -60,8 +53,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..cfg.builder import build_cfg
-from ..engine.cache import GraphCache, graph_key
-from ..engine.tiering import TierController, TieringConfig
+from ..engine.cache import GraphCache
 from ..interp.ast_interp import run_ast
 from ..interp.cfg_interp import run_cfg
 from ..lang.errors import CompileError
@@ -72,10 +64,10 @@ from ..translate.pipeline import SCHEMAS, CompileOptions, compile_program, simul
 from ..translate.verify import CertificateError
 
 #: Metrics fields that must be bit-identical across every idealized loop
-#: for one compiled graph (occupancy samples and ``peak_waiting_frames``
-#: are loop-dependent by design and excluded — see
-#: ``OCCUPANCY_COMPARABLE_MODES`` for the narrower family where they are
-#: still held bit-identical).
+#: for one compiled graph.  Occupancy samples and ``peak_waiting_frames``
+#: are sampled at loop checkpoints, so they are loop-dependent by design
+#: and excluded; ``tests/machine/test_occupancy_digests.py`` pins the
+#: packed loop's samples instead.
 DETERMINISTIC_METRIC_FIELDS = (
     "cycles",
     "operations",
@@ -91,16 +83,7 @@ DETERMINISTIC_METRIC_FIELDS = (
 )
 
 #: idealized-machine loops the oracle runs per schema
-SIM_MODES = ("step", "fast", "packed", "vectorized")
-
-#: The occupancy timeline and ``peak_waiting_frames`` are sampled at
-#: loop checkpoints, so they depend on *where* a loop samples, not on
-#: the graph's semantics.  The per-cycle step loop checkpoints every
-#: cycle; the event-driven loops (fast, packed, vectorized) share
-#: checkpoint placement (token-count peaks at event times) and must
-#: agree bit for bit among themselves.  This is the explicit allowlist:
-#: occupancy is compared within this family and never against ``step``.
-OCCUPANCY_COMPARABLE_MODES = frozenset({"fast", "packed", "vectorized"})
+SIM_MODES = ("step", "packed")
 
 
 @dataclass(frozen=True)
@@ -330,37 +313,6 @@ def _check_schema(
                         ),
                     ))
 
-        # occupancy timeline + peak_waiting_frames: loop-dependent in
-        # general (sampled at loop checkpoints), but the event-driven
-        # family shares checkpoint placement and must agree exactly
-        occ_base_mode = next(
-            (m for m in sim_modes
-             if m in OCCUPANCY_COMPARABLE_MODES and m in per_mode),
-            None,
-        )
-        if occ_base_mode is not None:
-            occ_base = per_mode[occ_base_mode]
-            for mode, res in per_mode.items():
-                if mode == occ_base_mode:
-                    continue
-                if mode not in OCCUPANCY_COMPARABLE_MODES:
-                    continue
-                route = f"{schema}/{mode}"
-                baseline = f"{schema}/{occ_base_mode}"
-                if res.occupancy != occ_base.occupancy:
-                    div(Divergence(
-                        "metrics_drift", route, baseline,
-                        f"occupancy {_truncate(res.occupancy, 60)} != "
-                        f"{_truncate(occ_base.occupancy, 60)}",
-                    ))
-                pwf = res.metrics.peak_waiting_frames
-                base_pwf = occ_base.metrics.peak_waiting_frames
-                if pwf != base_pwf:
-                    div(Divergence(
-                        "metrics_drift", route, baseline,
-                        f"peak_waiting_frames {pwf} != {base_pwf}",
-                    ))
-
         # finite-PE stepped runs: scheduling changes cycle counts but a
         # valid graph's final memory must be seed- and width-independent
         if finite_pes:
@@ -471,65 +423,6 @@ def _check_schema(
             if res.memory != ref:
                 div(Divergence("sim_divergence", route, "ast",
                                _diff_memory(res.memory, ref)))
-
-    # tier promotion: the adaptive tiering controller walks a hot graph
-    # up the backend ladder mid-stream; the same cached graph, simulated
-    # at each tier the controller picks across the promotion boundaries,
-    # must agree with the reference memory and stay bit-identical in
-    # end values and deterministic metrics from first hit to last
-    if {"fast", "packed", "vectorized"} <= set(sim_modes):
-        key = graph_key(source, options)
-        for ins, ref in zip(input_vectors, references):
-            ctl = TierController(TieringConfig(
-                entry_tier="fast", thresholds=(2, 3), prewarm=False,
-            ))
-            base = None
-            base_metrics: dict | None = None
-            base_tier = ""
-            for _hit in range(3):
-                tier = ctl.record(key)
-                route = f"{schema}/tier_promotion/{tier}"
-                try:
-                    with tracer.span("validate.tier", route=route):
-                        res = simulate(
-                            again, ins, MachineConfig(sim_mode=tier)
-                        )
-                except Exception as exc:
-                    div(Divergence(
-                        "sim_divergence", route,
-                        f"{schema}/tier_promotion",
-                        f"crash {type(exc).__name__}: {exc}",
-                    ))
-                    continue
-                report.routes_run += 1
-                if res.memory != ref:
-                    div(Divergence("sim_divergence", route, "ast",
-                                   _diff_memory(res.memory, ref)))
-                if base is None:
-                    base = res
-                    base_metrics = _metric_values(res.metrics)
-                    base_tier = tier
-                    continue
-                baseline = f"{schema}/tier_promotion/{base_tier}"
-                if res.end_values != base.end_values:
-                    div(Divergence(
-                        "sim_divergence", route, baseline,
-                        f"end_values {_truncate(res.end_values)} != "
-                        f"{_truncate(base.end_values)}",
-                    ))
-                got = _metric_values(res.metrics)
-                if got != base_metrics:
-                    bad = [f for f in DETERMINISTIC_METRIC_FIELDS
-                           if got[f] != base_metrics[f]]
-                    div(Divergence(
-                        "metrics_drift", route, baseline,
-                        "; ".join(
-                            f"{f}: {_truncate(got[f], 60)} != "
-                            f"{_truncate(base_metrics[f], 60)}"
-                            for f in bad[:3]
-                        ),
-                    ))
-            ctl.close()
 
 
 def assign_blame(report: OracleReport) -> OracleReport:

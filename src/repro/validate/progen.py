@@ -65,7 +65,7 @@ class GenKnobs:
     n_inputs: int = 2
     #: when nonzero, append a wide-fan-out gadget: one scalar consumed
     #: by this many strict two-input consumers in a single fan-out row
-    #: (exercises the vectorized backend's bulk delivery plans; 0 keeps
+    #: (exercises the packed interpreter's wide fan-out rows; 0 keeps
     #: the generated stream byte-identical to earlier releases)
     fanout_width: int = 0
     #: when nonzero, bound every goto's reach (backedge regions and

@@ -1,17 +1,21 @@
 """Snapshot/restore tests for the compiled-graph cache.
 
 The snapshot is what makes a restarted (or ``kill -9``'d) server come up
-warm: entry files in the v3 on-disk layout plus a manifest written
+warm: entry files in the disk tier's layout plus a manifest written
 atomically last as the commit point.  These tests pin the crash
 contract — an interrupted snapshot leaves the previous one loadable, a
-corrupt or truncated snapshot degrades to a cold start, never a crash.
+corrupt or truncated snapshot, or one from an older cache format,
+degrades to a cold start, never a crash.
 """
 
+import dataclasses
 import json
 import os
 
+import repro.engine.cache as cache_mod
 from repro.engine import GraphCache
 from repro.engine.cache import SNAPSHOT_MANIFEST, graph_key
+from repro.machine.packed import PackedGraph
 from repro.interp import run_ast
 from repro.lang import parse
 from repro.translate import CompileOptions, simulate
@@ -34,9 +38,8 @@ def _warm_cache():
 
 def test_snapshot_restore_round_trip(tmp_path):
     cache = _warm_cache()
-    state = {"tiers": {"v": 1, "graphs": {"k" * 64: {"tier": "packed",
-                                                     "hits": 9,
-                                                     "hotness": 4.5}}}}
+    state = {"owner": {"v": 1, "graphs": {"k" * 64: {"hits": 9,
+                                                     "weight": 4.5}}}}
     n = cache.snapshot(tmp_path, state=state)
     assert n == 2
     manifest = json.loads((tmp_path / SNAPSHOT_MANIFEST).read_text())
@@ -155,11 +158,96 @@ def test_snapshot_skips_existing_entry_files(tmp_path):
 
 
 def test_snapshot_dir_doubles_as_disk_cache_layout(tmp_path):
-    """The snapshot uses the v3 entry layout, so a snapshot directory is
-    a valid ``cache_dir``: disk lookups hit the snapshotted entries."""
+    """The snapshot uses the disk tier's entry layout, so a snapshot
+    directory is a valid ``cache_dir``: disk lookups hit the snapshotted
+    entries."""
     cache = _warm_cache()
     cache.snapshot(tmp_path)
     disk = GraphCache(cache_dir=tmp_path)
     _, hit = disk.lookup(SRC_A, schema="schema2_opt")
     assert hit
     assert disk.stats.disk_hits == 1
+
+
+# -- entries from an older cache format ---------------------------------------
+
+V3 = "repro-graph-cache-v3"
+
+
+def _as_v3_layout(cp):
+    """Rewrite ``cp``'s lowering into the v3 pickled layout: CSR fan-out
+    arrays (``arc_index``/``port_ptr``/``arc_dst``/``arc_port``) where v4
+    stores per-port tuples."""
+    pg = cp.ensure_packed()
+    arc_index, port_ptr, arc_dst, arc_port = [], [], [], []
+    for ports in pg.outs:
+        arc_index.append(len(port_ptr))
+        for arcs in ports:
+            port_ptr.append(len(arc_dst))
+            for d, dp in arcs:
+                arc_dst.append(d)
+                arc_port.append(dp)
+    port_ptr.append(len(arc_dst))
+    state = {f.name: getattr(pg, f.name)
+             for f in dataclasses.fields(pg) if f.name != "outs"}
+    state.update(arc_index=tuple(arc_index), port_ptr=tuple(port_ptr),
+                 arc_dst=tuple(arc_dst), arc_port=tuple(arc_port))
+    old = object.__new__(PackedGraph)
+    old.__dict__.update(state)
+    cp.packed = old
+    cp._payload = cp._payload_blob = None
+    return cp
+
+
+def _v3_cache(monkeypatch, cache_dir=None):
+    """A cache whose entries are keyed and laid out as v3 wrote them."""
+    monkeypatch.setattr(cache_mod, "CACHE_FORMAT", V3)
+    cache = GraphCache(cache_dir=cache_dir)
+    for src, schema in ((SRC_A, "schema2_opt"), (SRC_B, "schema1")):
+        cp, _ = cache.lookup(src, schema=schema)
+        _as_v3_layout(cp)
+        if cache_dir is not None:
+            key = graph_key(src, CompileOptions(schema=schema))
+            assert GraphCache._write_entry(cache._disk_path(key), cp)
+    return cache
+
+
+def test_v3_cache_dir_is_a_cold_start(tmp_path, monkeypatch):
+    _v3_cache(monkeypatch, cache_dir=tmp_path)
+    monkeypatch.undo()
+    assert len(list(tmp_path.rglob("*.pkl"))) == 2
+
+    disk = GraphCache(cache_dir=tmp_path)
+    cp, hit = disk.lookup(SRC_A, schema="schema2_opt")
+    assert not hit and disk.stats.misses == 1  # compiled, not unpickled
+    assert simulate(cp).memory == run_ast(parse(SRC_A))
+
+
+def test_v3_snapshot_with_tier_state_is_a_cold_start(tmp_path, monkeypatch):
+    """A v3 snapshot — whose manifest still carries the retired tiering
+    controller's state — restores nothing and raises nothing; lookups
+    then compile."""
+    cache = _v3_cache(monkeypatch)
+    tiers = {"tiers": {"v": 1, "graphs": {"k" * 64: {
+        "tier": "vectorized", "hits": 70, "hotness": 9.5}}}}
+    assert cache.snapshot(tmp_path, state=tiers) == 2
+    monkeypatch.undo()
+    manifest = json.loads((tmp_path / SNAPSHOT_MANIFEST).read_text())
+    assert manifest["format"] == V3 and "tiers" in manifest["state"]
+
+    fresh = GraphCache()
+    assert fresh.restore(tmp_path) == (0, {})
+    assert len(fresh) == 0
+    cp, hit = fresh.lookup(SRC_A, schema="schema2_opt")
+    assert not hit and fresh.stats.misses == 1
+    assert simulate(cp).memory == run_ast(parse(SRC_A))
+
+
+def test_v4_snapshot_restores_warm(tmp_path):
+    assert cache_mod.CACHE_FORMAT == "repro-graph-cache-v4"
+    _warm_cache().snapshot(tmp_path)
+    fresh = GraphCache()
+    assert fresh.restore(tmp_path) == (2, {})
+    cp, hit = fresh.lookup(SRC_B, schema="schema1")
+    assert hit and fresh.stats.misses == 0
+    assert simulate(cp).memory == run_ast(parse(SRC_B))

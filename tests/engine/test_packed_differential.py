@@ -1,15 +1,15 @@
-"""Differential suite for the flat backends (packed and vectorized).
+"""Differential suite for the packed interpreter.
 
 The flat-array interpreter (:class:`~repro.machine.packed.PackedSimulator`)
-and the bulk-firing vectorized interpreter
-(:class:`~repro.machine.vectorized.VectorizedSimulator`) claim
-*bit-identical observables* with the reference simulator: final memory,
-``end_values``, every :class:`~repro.machine.metrics.Metrics` field
-including the parallelism profile and sampled resource peaks, and the
-recorded clash list (contents *and* order).  This suite holds both to
-that across the full corpus × every legal schema × every input set, in
-clash-record mode, on the raise path, with and without numpy, and
-through the pooled engine.
+claims *bit-identical observables* with the reference per-cycle
+simulator: final memory, ``end_values``, every deterministic
+:class:`~repro.machine.metrics.Metrics` field including the parallelism
+profile and the in-flight and enabled peaks, and the recorded clash list
+(contents *and* order).  This suite holds it to that across the full
+corpus × every legal schema × every input set, in clash-record mode, on
+the raise path, and through the pooled engine.  The sampled occupancy
+timeline is pinned separately, in
+``tests/machine/test_occupancy_digests.py``.
 """
 
 import pytest
@@ -26,7 +26,7 @@ from repro.translate import compile_program, simulate
 _CACHE = GraphCache()
 
 
-def _assert_identical(a, b, tag, peaks_vs_fast=False):
+def _assert_identical(a, b, tag):
     """a = packed run, b = reference run."""
     assert a.memory == b.memory, tag
     assert a.end_values == b.end_values, tag
@@ -43,10 +43,6 @@ def _assert_identical(a, b, tag, peaks_vs_fast=False):
     assert ma.profile == mb.profile, tag
     assert ma.peak_tokens_in_flight == mb.peak_tokens_in_flight, tag
     assert ma.peak_enabled == mb.peak_enabled, tag
-    if peaks_vs_fast:
-        # the waiting-frame peak is sampled at loop checkpoints, so it is
-        # only pinned against the loop the packed interpreter mirrors
-        assert ma.peak_waiting_frames == mb.peak_waiting_frames, tag
 
 
 @pytest.mark.parametrize("wl", CORPUS, ids=[w.name for w in CORPUS])
@@ -59,63 +55,6 @@ def test_packed_equals_step_full_corpus(wl):
             step = simulate(cp, inputs, MachineConfig(sim_mode="step"))
             assert step.backend == "step" and not step.fast_path
             _assert_identical(packed, step, (wl.name, schema))
-
-
-@pytest.mark.parametrize("wl", CORPUS, ids=[w.name for w in CORPUS])
-def test_packed_equals_fast_including_peaks(wl):
-    """The packed loop mirrors the event-driven fast loop checkpoint for
-    checkpoint, so even the sampled occupancy timeline must agree."""
-    for schema in schemas_for(wl):
-        cp = _CACHE.get_or_compile(wl.source, schema=schema)
-        inputs = wl.inputs[0]
-        packed = simulate(cp, inputs, MachineConfig(sim_mode="packed"))
-        fast = simulate(cp, inputs, MachineConfig(sim_mode="fast"))
-        assert fast.backend == "fast"
-        _assert_identical(packed, fast, (wl.name, schema), peaks_vs_fast=True)
-        assert [tuple(s) for s in packed.occupancy] == [
-            tuple(s) for s in fast.occupancy
-        ], (wl.name, schema)
-
-
-@pytest.mark.parametrize("wl", CORPUS, ids=[w.name for w in CORPUS])
-def test_vectorized_equals_step_full_corpus(wl):
-    for schema in schemas_for(wl):
-        cp = _CACHE.get_or_compile(wl.source, schema=schema)
-        for inputs in wl.inputs:
-            vec = simulate(cp, inputs, MachineConfig(sim_mode="vectorized"))
-            assert vec.backend == "vectorized" and vec.fast_path
-            step = simulate(cp, inputs, MachineConfig(sim_mode="step"))
-            _assert_identical(vec, step, (wl.name, schema))
-
-
-@pytest.mark.parametrize("wl", CORPUS, ids=[w.name for w in CORPUS])
-def test_vectorized_equals_packed_including_peaks(wl):
-    """The vectorized loop drains its cycle buckets at the same
-    checkpoints the packed loop drains its heap, so the sampled
-    occupancy timeline and the waiting-frame peak must also agree."""
-    for schema in schemas_for(wl):
-        cp = _CACHE.get_or_compile(wl.source, schema=schema)
-        inputs = wl.inputs[0]
-        vec = simulate(cp, inputs, MachineConfig(sim_mode="vectorized"))
-        packed = simulate(cp, inputs, MachineConfig(sim_mode="packed"))
-        _assert_identical(vec, packed, (wl.name, schema),
-                          peaks_vs_fast=True)
-        assert [tuple(s) for s in vec.occupancy] == [
-            tuple(s) for s in packed.occupancy
-        ], (wl.name, schema)
-
-
-@pytest.mark.parametrize("wl", CORPUS, ids=[w.name for w in CORPUS])
-def test_vectorized_no_numpy_equals_step(wl, monkeypatch):
-    """The pure-python bulk path (REPRO_NO_NUMPY=1) is held to the same
-    bit-identity bar as the numpy fast path."""
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    for schema in schemas_for(wl):
-        cp = _CACHE.get_or_compile(wl.source, schema=schema)
-        inputs = wl.inputs[0]
-        vec = simulate(cp, inputs, MachineConfig(sim_mode="vectorized"))
-        step = simulate(cp, inputs, MachineConfig(sim_mode="step"))
-        _assert_identical(vec, step, (wl.name, schema, "no-numpy"))
 
 
 @pytest.mark.parametrize("wl", CORPUS, ids=[w.name for w in CORPUS])
@@ -147,16 +86,16 @@ def _fig08_clashing_program():
     return cp
 
 
-@pytest.mark.parametrize("mode", ["packed", "vectorized"])
-def test_clash_record_ordering_matches_step(mode):
-    """Real clashes: the flat backends' overflow deques must replay the
+def test_clash_record_ordering_matches_step():
+    """Real clashes: the packed overflow deques must replay the
     reference per-port deques exactly — same clash count, same (node,
     port, context) reports, same order, same final state."""
     cp = _fig08_clashing_program()
     flat = simulate(
         cp,
         None,
-        MachineConfig(sim_mode=mode, on_clash="record", memory_latency=8),
+        MachineConfig(sim_mode="packed", on_clash="record",
+                      memory_latency=8),
     )
     step = simulate(
         cp,
@@ -164,14 +103,14 @@ def test_clash_record_ordering_matches_step(mode):
         MachineConfig(sim_mode="step", on_clash="record", memory_latency=8),
     )
     assert flat.metrics.clashes >= 2  # deques hold more than one extra
-    _assert_identical(flat, step, f"fig08-record-{mode}")
+    _assert_identical(flat, step, "fig08-record")
 
 
-@pytest.mark.parametrize("mode", ["packed", "vectorized"])
-def test_clash_raise_matches_step(mode):
+def test_clash_raise_matches_step():
     cp = _fig08_clashing_program()
     with pytest.raises(TokenClashError) as flat_err:
-        simulate(cp, None, MachineConfig(sim_mode=mode, memory_latency=8))
+        simulate(cp, None, MachineConfig(sim_mode="packed",
+                                         memory_latency=8))
     with pytest.raises(TokenClashError) as step_err:
         simulate(cp, None, MachineConfig(sim_mode="step", memory_latency=8))
     assert str(flat_err.value) == str(step_err.value)
@@ -180,17 +119,15 @@ def test_clash_raise_matches_step(mode):
 def test_auto_prefers_flat_only_when_exact():
     cp = _CACHE.get_or_compile(RUNNING_EXAMPLE.source, schema="schema2_opt")
     auto = simulate(cp, None)
-    assert auto.backend == "vectorized" and auto.fast_path
+    assert auto.backend == "packed" and auto.fast_path
     finite = simulate(cp, None, MachineConfig(num_pes=2))
     assert finite.backend == "step"
     bounded = simulate(cp, None, MachineConfig(loop_bound=1))
     assert bounded.backend == "step"
-    forced = simulate(cp, None, MachineConfig(sim_mode="fast"))
-    assert forced.backend == "fast"
-    forced_packed = simulate(cp, None, MachineConfig(sim_mode="packed"))
-    assert forced_packed.backend == "packed"
+    forced = simulate(cp, None, MachineConfig(sim_mode="step"))
+    assert forced.backend == "step"
     assert (auto.memory == finite.memory == bounded.memory
-            == forced.memory == forced_packed.memory)
+            == forced.memory)
 
 
 def test_pooled_packed_equals_serial(tmp_path):
@@ -206,5 +143,5 @@ def test_pooled_packed_equals_serial(tmp_path):
     for i, (s, p) in enumerate(zip(serial, pooled)):
         assert s.ok and p.ok, (s.error, p.error)
         assert s.index == p.index == i
-        assert p.result.backend == "vectorized"  # auto on idealized config
+        assert p.result.backend == "packed"  # auto on idealized config
         _assert_identical(p.result, s.result, jobs[i].name)

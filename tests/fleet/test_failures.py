@@ -1,9 +1,13 @@
 """Fleet failure paths: kill -9 of a shard mid-batch, router drain with
-zero lost results, deadline expiry while queued at the router, and a
-shard crash in the middle of an open-loop campaign."""
+zero lost results, deadline expiry while queued at the router, a write
+into a torn shard connection, and a shard crash in the middle of an
+open-loop campaign."""
 
+import asyncio
+import contextlib
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +15,7 @@ from repro.bench.loadgen import _default_jobs, run_open_loop
 from repro.engine import BatchJob
 from repro.engine.cache import graph_key
 from repro.fleet import running_fleet
+from repro.fleet.router import QUEUED, SENT, ShardLink, _FleetEntry
 from repro.service import JobRejected, ServiceClient
 
 
@@ -96,6 +101,65 @@ def test_deadline_expiry_while_queued_at_router():
             st = client.stats()
             assert st["expired"] == 1
             assert st["fleet"]["live"] == 0
+
+
+def test_failed_write_parks_the_pump_until_reconnect():
+    """A write into a torn shard connection puts the job back at the
+    head of the outbox and parks the pump until the link reconnects.
+    Once a stream holds an error its drain() raises without yielding to
+    the event loop, so a pump that rewrote at once would spin, starve
+    the reader that tears the connection down, and never stop."""
+    writes = []
+
+    class TornWriter:
+        closed = False
+
+        def write(self, data):
+            writes.append(data)
+
+        async def drain(self):
+            if len(writes) > 50:
+                raise AssertionError("the pump kept writing a torn stream")
+            raise BrokenPipeError("shard connection torn")
+
+        def close(self):
+            self.closed = True
+
+    class Writer:
+        def __init__(self):
+            self.frames = []
+
+        def write(self, data):
+            self.frames.append(data)
+
+        async def drain(self):
+            pass
+
+    async def scenario():
+        link = ShardLink(SimpleNamespace(), SimpleNamespace(index=0))
+        link._writer = torn = TornWriter()
+        link.connected.set()
+        entry = _FleetEntry(None, "c1", "r1", {"source": "x := 1;"}, "k", None)
+        link.enqueue(entry)
+        pump = asyncio.create_task(link._pump())
+        await asyncio.sleep(0.05)
+        assert not pump.done()  # parked, not dead
+        assert len(writes) == 1 and torn.closed
+        assert not link.connected.is_set()
+        assert list(link.outbox) == [entry] and entry.state is QUEUED
+        assert not link.inflight
+
+        # the reconnect delivers the job that was put back
+        link._writer = fresh = Writer()
+        link.connected.set()
+        await asyncio.sleep(0.05)
+        assert len(fresh.frames) == 1 and entry.state is SENT
+        assert link.inflight == {"r1": entry} and not link.outbox
+        pump.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await pump
+
+    asyncio.run(scenario())
 
 
 def test_kill_nine_during_open_loop_campaign():

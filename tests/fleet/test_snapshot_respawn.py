@@ -1,8 +1,9 @@
 """Fleet snapshot crash tests: a ``kill -9``'d shard respawns over its
-per-shard snapshot directory and comes up warm — compiled graphs and
-tier state restored from the last committed manifest — with no shared
-disk cache in play."""
+per-shard snapshot directory and comes up warm — compiled graphs
+restored from the last committed manifest — with no shared disk cache
+in play."""
 
+import json
 import os
 import time
 
@@ -29,6 +30,17 @@ def _wait(cond, timeout=30.0, interval=0.01):
 
 def _engine_stats(client, shard: int) -> dict:
     return client.stats()["shards"][str(shard)]["cache"]["engine"]
+
+
+def _manifest_lists(path: str, key: str) -> bool:
+    """Whether the committed manifest at ``path`` names ``key``.  A
+    periodic snapshot can commit before the entry is cached, so the
+    manifest existing is not enough."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return key in json.load(f)["keys"]
+    except (OSError, ValueError, KeyError):
+        return False
 
 
 def test_killed_shard_restores_from_its_snapshot(tmp_path):
@@ -58,7 +70,7 @@ def test_killed_shard_restores_from_its_snapshot(tmp_path):
             manifest = os.path.join(
                 snap_root, f"shard-{owner}", SNAPSHOT_MANIFEST
             )
-            _wait(lambda: os.path.exists(manifest))
+            _wait(lambda: _manifest_lists(manifest, key))
 
             router.shards[owner].kill()
             _wait(lambda: router.shards[owner].spawns == 2)
@@ -88,21 +100,3 @@ def test_respawn_with_junk_in_snapshot_dir_is_cold_not_crashed(tmp_path):
         with ServiceClient(**ep, timeout=120.0, retries=20) as client:
             br = client.submit(BatchJob(SRC, name="cold"))
             assert br.ok, br.error
-
-
-def test_fleet_tiers_rpc_aggregates_shards(tmp_path):
-    with running_fleet(
-        shards=2, max_batch=1, max_wait_ms=0.0,
-        tiering=True, tier_thresholds=(2, 4), tier_decay_s=0.0,
-    ) as (ep, _router):
-        with ServiceClient(**ep, timeout=120.0, retries=20) as client:
-            for i in range(6):
-                assert client.submit(BatchJob(SRC, name=f"t{i}")).ok
-            tiers = client.tiers()
-            assert tiers["enabled"]
-            assert tiers["graphs"] >= 1
-            assert tiers["promotions"] >= 1
-            assert tiers["top"], "hot graphs pooled across shards"
-            assert "shard" in tiers["top"][0]
-            ups = [s for s in tiers["shards"].values() if s.get("up")]
-            assert len(ups) == 2

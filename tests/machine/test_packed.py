@@ -1,6 +1,7 @@
 """Unit tests for the packed-graph lowering (:mod:`repro.machine.packed`):
-array-layout invariants, CSR adjacency fidelity, pickle shipping, the
-stray-port delivery guard, and the stateful-config rejections.  Behavioral
+array-layout invariants, fan-out fidelity, pickle shipping, the
+stray-port delivery guard, and the config rejections.  Degenerate graph
+shapes live in ``tests/machine/test_vectorized.py``; behavioral
 equivalence with the reference simulator lives in
 ``tests/engine/test_packed_differential.py``.
 """
@@ -65,8 +66,8 @@ def test_lowering_invariants(wl, schema):
             assert pg.dcls[i] == DC_SINGLE
         else:
             assert pg.dcls[i] == DC_STRICT
-        # the CSR rows replay consumers() exactly, port by port, in arc
-        # insertion order (delivery order is observable via seq numbers)
+        # the fan-out tuples replay consumers() exactly, port by port, in
+        # arc insertion order (delivery order is observable via seq numbers)
         for p in range(num_outputs(node)):
             want = [
                 (index_of[a.dst], a.dst_port) for a in g.consumers(nid, p)
@@ -142,14 +143,17 @@ def test_packed_simulator_rejects_stateful_configs():
 
 
 def test_backend_resolution():
-    assert MachineConfig().backend() == "vectorized"
+    assert MachineConfig().backend() == "packed"
     assert MachineConfig(num_pes=2).backend() == "step"
     assert MachineConfig(loop_bound=1).backend() == "step"
     assert MachineConfig(sim_mode="step").backend() == "step"
-    assert MachineConfig(sim_mode="fast").backend() == "fast"
     assert MachineConfig(sim_mode="packed").backend() == "packed"
-    assert MachineConfig(sim_mode="vectorized").backend() == "vectorized"
-    with pytest.raises(ValueError):
-        MachineConfig(sim_mode="vectorized", num_pes=2)
-    with pytest.raises(ValueError):
-        MachineConfig(sim_mode="vectorized", loop_bound=1)
+
+
+@pytest.mark.parametrize("mode", ["fast", "warp"])
+def test_unknown_sim_modes_name_the_legal_ones(mode):
+    with pytest.raises(ValueError) as err:
+        MachineConfig(sim_mode=mode)
+    for legal in ("auto", "step", "packed"):
+        assert legal in str(err.value)
+

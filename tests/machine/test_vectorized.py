@@ -1,35 +1,45 @@
-"""Unit tests for the vectorized graph-as-matrices backend
-(:mod:`repro.machine.vectorized`): delivery-plan compilation invariants,
-the flat frame-store layout, degenerate graph shapes through all four
-backends, the numpy feature probe, and the occupancy-comparability
-contract the oracle pins.  Full behavioral equivalence lives in
-``tests/engine/test_packed_differential.py``.
+"""Wide-graph and degenerate-shape checks of the packed interpreter.
+
+This module began as the test suite of the graph-as-matrices
+``vectorized`` backend.  That backend is gone — ``auto`` runs the packed
+interpreter — but the checks that do not depend on its internals still
+apply to what replaced it: the per-run dispatch rows must replay the
+lowered arc rows exactly, degenerate graph shapes and wide fan-out rows
+must agree across every ``sim_mode``, the machine must run without
+numpy, and the retired mode name must be refused.  Full behavioral
+equivalence lives in ``tests/engine/test_packed_differential.py``.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.bench.harness import schemas_for
 from repro.bench.programs import CORPUS
-from repro.machine import MachineConfig, VectorizedSimulator, pack_graph
-from repro.machine.vectorized import (
-    _NP_BULK_MIN,
-    _P_BULK,
-    _P_SINGLE,
-    _P_WALK,
-    _probe_numpy,
-)
+from repro.machine import MachineConfig, PackedSimulator, pack_graph
+from repro.machine.config import SIM_MODES
+from repro.machine.packed import OP_BINOP, OP_UNOP
+from repro.semantics import BINOP_FUNCS, UNOP_FUNCS
 from repro.translate import compile_program, simulate
 
-ALL_MODES = ("step", "fast", "packed", "vectorized")
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
+
+#: wide enough that the retired backend took its bulk path on this row
+FAN_OUT = 24
 
 
-def _vec(cp, inputs=None, **cfg):
-    pg = pack_graph(cp.graph)
-    mem, ist = cp.memories(dict(inputs or {}))
-    return VectorizedSimulator(pg, mem, ist, MachineConfig(**cfg))
+def _fan_out_src(n: int = FAN_OUT) -> str:
+    """``x`` and ``y`` each feed ``n`` two-input adds: two wide rows, each
+    ending in the trailing END arc."""
+    return "x := 7;\ny := 5;\n" + "\n".join(
+        f"v{i} := x + y;" for i in range(n)
+    )
 
 
-# -- delivery-plan lowering invariants ---------------------------------------
+# -- dispatch rows replay the lowering ----------------------------------------
 
 
 def _plan_cases():
@@ -40,244 +50,141 @@ def _plan_cases():
 
 @pytest.mark.parametrize("wl,schema", _plan_cases())
 def test_plans_replay_csr_rows_exactly(wl, schema):
-    """Every delivery plan, whatever its mode, must cover the CSR row it
-    was compiled from arc for arc, in arc order."""
+    """Every dispatch record a run builds must carry its node's lowered
+    fan-out rows themselves (shared, not re-derived per run), and each
+    row must cover the graph's arcs for that port, arc for arc, in arc
+    order, onto real input ports."""
     cp = compile_program(wl.source, schema=schema)
-    pg = pack_graph(cp.graph)
-    sim = _vec(cp)
+    g = cp.graph
+    pg = pack_graph(g)
+    cfg = MachineConfig(alu_latency=2, memory_latency=5)
+    mem, ist = cp.memories({})
+    sim = PackedSimulator(pg, mem, ist, cfg)
 
-    # fbase is the CSR prefix sum of input arities
-    total = 0
-    for i in range(pg.n):
-        assert sim._fbase[i] == total
-        total += pg.nin[i]
+    index_of = {nid: i for i, nid in enumerate(pg.node_ids)}
+    assert len(sim._rt) == pg.n
+    for i, nid in enumerate(pg.node_ids):
+        opcode, lat, outs, payload = sim._rt[i]
+        assert opcode == pg.opcodes[i]
+        base = cfg.memory_latency if pg.is_mem[i] else cfg.alu_latency
+        assert lat == base + pg.extra_lat[i]
+        if opcode == OP_BINOP:
+            assert payload is BINOP_FUNCS[pg.aux[i]]
+        elif opcode == OP_UNOP:
+            assert payload is UNOP_FUNCS[pg.aux[i]]
+        else:
+            assert payload == pg.aux[i]
 
-    assert len(sim._plans) == pg.n
-    for i in range(pg.n):
-        assert len(sim._plans[i]) == pg.nout[i]
-        for p in range(pg.nout[i]):
-            arcs = pg.out_arcs(i, p)
-            plan = sim._plans[i][p]
-            if not arcs:
-                assert plan is None
-                continue
-            assert plan[1] == len(arcs)
-            if plan[0] == _P_SINGLE:
-                assert list(plan[2]) == [d for d, _ in arcs]
-                for d, dp in arcs:
-                    assert pg.dcls[d] == 2 and dp == 0
-            else:
-                walk = plan[2]
-                assert [(d, dp) for d, dp, *_ in walk] == arcs
-                for d, dp, cls, nin, slot in walk:
-                    assert cls == pg.dcls[d] and nin == pg.nin[d]
-                    if cls == 3 and dp < nin:
-                        assert slot == sim._fbase[d] + dp
-                    else:
-                        assert slot == -1
-            if plan[0] == _P_BULK:
-                # bulk prefix: wide, all-strict, distinct frames; the
-                # suffix holds the remaining arcs in row order
-                k = len(plan[3])
-                assert k >= _NP_BULK_MIN
-                assert plan[6] == walk[k:]
-                assert all(c == 3 for _, _, c, _, _ in walk[:k])
-                assert all(c != 3 for _, _, c, _, _ in walk[k:])
-                assert len({d for d, *_ in walk[:k]}) == k
+        assert outs is pg.outs[i]
+        assert len(outs) == pg.nout[i]
+        for p, row in enumerate(outs):
+            want = [(index_of[a.dst], a.dst_port) for a in g.consumers(nid, p)]
+            assert list(row) == want, (nid, p)
+            for d, dp in row:
+                assert 0 <= d < pg.n and 0 <= dp < pg.nin[d]
 
 
-def test_bulk_plan_compiles_for_wide_strict_rows():
-    """A value consumed by many two-input nodes compiles to a bulk plan
-    (with numpy) even though the row ends in a non-strict END arc."""
-    n = _NP_BULK_MIN + 8
-    src = "x := 7;\ny := 5;\n" + "\n".join(
-        f"v{i} := x + y;" for i in range(n)
-    )
-    cp = compile_program(src, schema="memory_elim")
-    sim = _vec(cp)
-    bulk = [
-        plan
-        for per_port in sim._plans
-        for plan in per_port
-        if plan is not None and plan[0] == _P_BULK
-    ]
-    if _probe_numpy() is None:  # pragma: no cover - environment-dependent
-        assert not bulk
-        return
-    assert sim._np is not None
-    assert len(bulk) == 2  # x's row and y's row
-    for plan in bulk:
-        assert len(plan[3]) == n  # the strict consumers
-        assert len(plan[6]) == 1  # the trailing END arc
-
-    # and the bulk path is observably exact against the reference
-    vec = simulate(cp, None, MachineConfig(sim_mode="vectorized"))
-    step = simulate(cp, None, MachineConfig(sim_mode="step"))
-    assert vec.memory == step.memory
-    assert vec.metrics == step.metrics
-
-
-def test_no_numpy_env_var_disables_bulk(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert _probe_numpy() is None
-    n = _NP_BULK_MIN + 8
-    src = "x := 7;\ny := 5;\n" + "\n".join(
-        f"v{i} := x + y;" for i in range(n)
-    )
-    cp = compile_program(src, schema="memory_elim")
-    sim = _vec(cp)
-    assert sim._np is None
-    assert all(
-        plan is None or plan[0] in (_P_SINGLE, _P_WALK)
-        for per_port in sim._plans
-        for plan in per_port
-    )
-    # pure-python storage: plain lists and a bytearray, not numpy arrays
-    assert isinstance(sim._fvals, list)
-    assert isinstance(sim._filled, bytearray)
-
-
-def test_narrow_graphs_skip_numpy_storage():
-    """Without any bulk-eligible row the frame store stays pure python
-    even when numpy is importable — scalar list indexing is faster."""
-    cp = compile_program("x := 1;\ny := x + 2;\n", schema="memory_elim")
-    sim = _vec(cp)
-    assert sim._np is None
-    assert isinstance(sim._fvals, list)
-
-
-# -- degenerate graph shapes through all four backends -----------------------
+# -- degenerate graph shapes through every sim_mode ---------------------------
 
 
 def _run_all_modes(src, inputs=None, schema=None):
-    out = {}
-    for mode in ALL_MODES:
-        kwargs = {"schema": schema} if schema else {}
-        cp = compile_program(src, **kwargs)
-        out[mode] = simulate(
-            cp, dict(inputs or {}), MachineConfig(sim_mode=mode)
-        )
-    return out
+    kwargs = {"schema": schema} if schema else {}
+    cp = compile_program(src, **kwargs)
+    return {
+        mode: simulate(cp, dict(inputs or {}), MachineConfig(sim_mode=mode))
+        for mode in SIM_MODES
+    }
 
 
 def _assert_agree(results):
     ref = results["step"]
     for mode, res in results.items():
-        assert res.backend == mode
+        assert res.backend == MachineConfig(sim_mode=mode).backend()
         assert res.memory == ref.memory, mode
         assert res.end_values == ref.end_values, mode
         assert res.metrics.cycles == ref.metrics.cycles, mode
         assert res.metrics.operations == ref.metrics.operations, mode
         assert res.metrics.by_kind == ref.metrics.by_kind, mode
+    assert results["auto"].backend == "packed"
 
 
 def test_empty_program_zero_arc_graph():
     """The empty program lowers to a two-node, zero-arc graph (START and
-    END with no returns): every backend must terminate immediately with
+    END with no returns): every mode must terminate immediately with
     empty observables rather than deadlock."""
     cp = compile_program("")
     assert len(cp.graph.nodes) == 2 and cp.graph.num_arcs() == 0
     results = _run_all_modes("")
     _assert_agree(results)
-    vec = results["vectorized"]
-    assert vec.memory == {} and vec.end_values == {}
-    assert vec.metrics.cycles == 0 and vec.metrics.operations == 0
+    got = results["packed"]
+    assert got.memory == {} and got.end_values == {}
+    assert got.metrics.cycles == 0 and got.metrics.operations == 0
 
 
 def test_single_statement_program():
     results = _run_all_modes("x := 1;")
     _assert_agree(results)
-    assert results["vectorized"].memory == {"x": 1}
+    assert results["packed"].memory == {"x": 1}
 
 
 def test_unconsumed_seed_ports():
     """A variable that is written and never read seeds a START port with
-    no consumers (a None plan): the token must be dropped, not leaked
+    no consumers (an empty row): the token must be dropped, not leaked
     into the in-flight count (which would stall quiescence)."""
     results = _run_all_modes("x := 1;\ny := 2;\n", schema="schema1")
     _assert_agree(results)
-    assert results["vectorized"].memory["y"] == 2
+    assert results["packed"].memory["y"] == 2
 
 
 def test_max_fan_out_node_all_backends():
-    """One node fanning out past the bulk threshold behaves identically
-    on every backend, with and without the numpy path."""
-    n = _NP_BULK_MIN + 8
-    src = "x := 7;\ny := 5;\n" + "\n".join(
-        f"v{i} := x + y;" for i in range(n)
-    )
+    """One value consumed by many two-input nodes (a wide fan-out row)
+    behaves identically in every mode."""
     for schema in ("schema1", "memory_elim"):
-        results = _run_all_modes(src, schema=schema)
+        results = _run_all_modes(_fan_out_src(), schema=schema)
         _assert_agree(results)
         assert all(
-            results["vectorized"].memory[f"v{i}"] == 12 for i in range(n)
+            results["packed"].memory[f"v{i}"] == 12 for i in range(FAN_OUT)
         )
 
 
-def test_max_fan_out_without_numpy(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    n = _NP_BULK_MIN + 8
-    src = "x := 7;\ny := 5;\n" + "\n".join(
-        f"v{i} := x + y;" for i in range(n)
+NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from repro.machine import MachineConfig
+from repro.translate import compile_program, simulate
+
+cp = compile_program(sys.argv[1], schema="memory_elim")
+step = simulate(cp, {}, MachineConfig(sim_mode="step"))
+auto = simulate(cp, {}, MachineConfig())
+assert auto.backend == "packed", auto.backend
+assert auto.memory == step.memory
+assert auto.metrics == step.metrics
+print("ok", auto.metrics.cycles)
+"""
+
+
+def test_max_fan_out_without_numpy():
+    """The machine needs no numpy: a fresh interpreter that cannot import
+    it compiles and runs the wide fan-out program, and ``auto`` agrees
+    with the step reference."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
     )
-    results = _run_all_modes(src, schema="memory_elim")
-    _assert_agree(results)
-
-
-# -- occupancy comparability (the oracle's documented allowlist) -------------
-
-
-def test_occupancy_comparable_within_event_driven_family():
-    """Occupancy timelines are sampled at in-flight peaks, so they are
-    *guaranteed* identical only across the event-driven family (fast/
-    packed/vectorized share checkpoint placement).  The per-cycle step
-    loop offers no such guarantee — its samples often coincide but are
-    not contractual — so the oracle compares occupancy and the
-    waiting-frame peak inside an explicit allowlist instead of fuzzily
-    comparing every mode pair."""
-    from repro.validate.oracle import OCCUPANCY_COMPARABLE_MODES, SIM_MODES
-
-    assert OCCUPANCY_COMPARABLE_MODES == {"fast", "packed", "vectorized"}
-    assert "step" not in OCCUPANCY_COMPARABLE_MODES
-    assert set(SIM_MODES) == set(ALL_MODES)
-
-    wl = next(w for w in CORPUS if w.name == "gcd")
-    cp = compile_program(wl.source)
-    inputs = dict(wl.inputs[0])
-    res = {
-        mode: simulate(cp, dict(inputs), MachineConfig(sim_mode=mode))
-        for mode in ("fast", "packed", "vectorized")
-    }
-    fam = [[tuple(s) for s in res[m].occupancy]
-           for m in ("fast", "packed", "vectorized")]
-    assert fam[0] == fam[1] == fam[2]
-    assert (res["fast"].metrics.peak_waiting_frames
-            == res["packed"].metrics.peak_waiting_frames
-            == res["vectorized"].metrics.peak_waiting_frames)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, _fan_out_src()],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("ok ")
 
 
 # -- config wiring -----------------------------------------------------------
 
 
 def test_vectorized_rejects_stateful_configs():
-    cp = compile_program("x := 1;", schema="memory_elim")
-    pg = pack_graph(cp.graph)
-    mem, ist = cp.memories({})
-    with pytest.raises(ValueError, match="num_pes"):
-        VectorizedSimulator(pg, mem, ist, MachineConfig(num_pes=2))
-    with pytest.raises(ValueError, match="loop_bound"):
-        VectorizedSimulator(pg, mem, ist, MachineConfig(loop_bound=1))
-
-
-def test_packed_blob_honors_vectorized_backend():
-    """CompiledProgram payloads shipped to pool workers run on the
-    backend the config resolves to — including vectorized."""
-    cp = compile_program("x := 3;\ny := x * 2;\n")
-    payload = cp.packed_program()
-    res = payload.run({}, config=MachineConfig(sim_mode="vectorized"))
-    assert res.backend == "vectorized"
-    assert res.memory["y"] == 6
-    ref = payload.run({}, config=MachineConfig(sim_mode="packed"))
-    assert ref.backend == "packed"
-    assert ref.memory == res.memory
-    assert ref.metrics == res.metrics
+    """The retired mode name is refused with or without the stateful
+    knobs, and the message names the modes that remain."""
+    for extra in ({}, {"num_pes": 2}, {"loop_bound": 1}):
+        with pytest.raises(ValueError, match="auto, step, packed"):
+            MachineConfig(sim_mode="vectorized", **extra)

@@ -1,15 +1,20 @@
-"""Service-level tiering and snapshot tests: promotion through the
-``tiers`` RPC, bit-identical results across the promotion boundary, the
-on-drain snapshot, and the warm restart that makes the first
-resubmission a cache hit with tier state intact."""
+"""Service-level warm-restart tests: the on-drain snapshot, the periodic
+snapshot, the restart that makes the first resubmission a cache hit,
+and the degraded paths (corrupt manifest, a snapshot from an older cache
+format) that must come up cold rather than crash.
 
+The module also covered the retired adaptive tiering, whose hotness
+state rode in the same snapshots; tiering is gone, the snapshot half
+stays, and so does a server's answer to an old client's ``tiers`` op."""
+
+import json
 import os
+import time
 
 from repro.engine import BatchJob
 from repro.engine.cache import SNAPSHOT_MANIFEST
 from repro.interp import run_ast
 from repro.lang import parse
-from repro.machine import MachineConfig
 from repro.service import ServiceClient, running_server
 
 SRC = """
@@ -20,108 +25,54 @@ l: y := x + 1;
 """
 
 
-def _tiering_kwargs(**extra):
-    kw = dict(
-        max_batch=1,
-        max_wait_ms=0.0,
-        tiering=True,
-        tier_entry="fast",
-        tier_thresholds=(2, 4),
-        tier_decay_s=0.0,  # no decay race in tests
-    )
+def _kwargs(**extra):
+    kw = dict(max_batch=1, max_wait_ms=0.0)
     kw.update(extra)
     return kw
 
 
-def test_hot_graph_promotes_and_results_stay_identical():
-    with running_server(**_tiering_kwargs()) as (ep, server):
-        with ServiceClient(**ep) as client:
-            results = [client.submit(BatchJob(SRC, name=f"j{i}"))
-                       for i in range(6)]
-            assert all(r.ok for r in results)
-            expect = run_ast(parse(SRC))
-            first = results[0].result
-            for r in results:
-                assert r.result.memory == expect
-                assert r.result.memory == first.memory
-                assert r.result.end_values == first.end_values
-                assert r.result.metrics == first.metrics
-            server.tiering.join_prewarms(timeout=30)
-
-            tiers = client.tiers()
-            assert tiers["enabled"]
-            assert tiers["entry_tier"] == "fast"
-            assert tiers["thresholds"] == [2, 4]
-            assert tiers["graphs"] == 1
-            assert tiers["promotions"] >= 1
-            top = tiers["top"][0]
-            assert top["hits"] == 6
-            # with the cache attached, promotion into the blob tiers
-            # waits for the pre-warm; by now it has landed
-            assert top["prewarmed"]
-            assert client.submit(BatchJob(SRC, name="post")).ok
-            assert client.tiers()["top"][0]["tier"] in (
-                "packed", "vectorized"
-            )
-
-
-def test_pinned_jobs_bypass_the_controller():
-    with running_server(**_tiering_kwargs()) as (ep, _server):
-        with ServiceClient(**ep) as client:
-            for i in range(4):
-                br = client.submit(BatchJob(
-                    SRC, config=MachineConfig(sim_mode="step"),
-                    name=f"p{i}",
-                ))
-                assert br.ok
-                assert br.result.backend == "step"  # never re-tiered
-            assert client.tiers()["graphs"] == 0
-
-
 def test_tiers_rpc_on_non_tiering_server():
-    with running_server(max_batch=1, max_wait_ms=0.0) as (ep, _server):
+    """The retired ``tiers`` op gets a ``bad_request`` error frame on a
+    live connection, which then serves ``stats`` — where the snapshot
+    status that op used to report now lives."""
+    with running_server(**_kwargs()) as (ep, _server):
         with ServiceClient(**ep) as client:
-            tiers = client.tiers()
-            assert tiers["enabled"] is False
-            assert tiers["snapshot"]["dir"] is None
+            client._send({"op": "tiers"})
+            frame = client._wait_control("tiers")
+            assert frame["ok"] is False
+            assert frame["error"] == "bad_request"
+            assert "tiers" in frame["detail"]
+            snap = client.stats()["snapshot"]
+            assert snap["dir"] is None
+            assert snap["writes"] == 0 and snap["restored"] == 0
 
 
 def test_drain_snapshot_then_warm_restart(tmp_path):
     snap_dir = str(tmp_path / "snap")
-    kw = _tiering_kwargs(snapshot_dir=snap_dir)
+    kw = _kwargs(snapshot_dir=snap_dir)
 
     with running_server(**kw) as (ep, _server):
         with ServiceClient(**ep) as client:
-            for i in range(6):
+            for i in range(3):
                 assert client.submit(BatchJob(SRC, name=f"w{i}")).ok
-            cold = client.tiers()
-            assert cold["snapshot"]["restored"] == 0
+            assert client.stats()["snapshot"]["restored"] == 0
     # graceful drain wrote the snapshot
     assert os.path.exists(os.path.join(snap_dir, SNAPSHOT_MANIFEST))
 
     with running_server(**kw) as (ep, _server):
         with ServiceClient(**ep) as client:
-            tiers = client.tiers()
-            assert tiers["snapshot"]["restored"] >= 1
-            top = tiers["top"][0]
-            assert top["hits"] == 6  # tier state survived the restart
-            assert top["tier"] in ("packed", "vectorized")
-            assert top["prewarmed"]  # snapshot entries carry the blob
-
+            assert client.stats()["snapshot"]["restored"] >= 1
             br = client.submit(BatchJob(SRC, name="after-restart"))
             assert br.ok
             assert br.cache_hit  # warm: no recompile on first contact
             assert br.result.memory == run_ast(parse(SRC))
-            # the restored hotness keeps the key on its promoted tier
-            assert br.result.backend in ("packed", "vectorized")
+            assert br.result.backend == "packed"
+            assert client.stats()["cache"]["engine"]["compiles"] == 0
 
 
 def test_snapshot_interval_writes_without_drain(tmp_path):
     snap_dir = str(tmp_path / "snap")
-    kw = _tiering_kwargs(
-        snapshot_dir=snap_dir, snapshot_interval_s=0.05
-    )
-    import time
+    kw = _kwargs(snapshot_dir=snap_dir, snapshot_interval_s=0.05)
 
     with running_server(**kw) as (ep, _server):
         with ServiceClient(**ep) as client:
@@ -131,21 +82,41 @@ def test_snapshot_interval_writes_without_drain(tmp_path):
             while not os.path.exists(manifest):
                 assert time.monotonic() < deadline, "no periodic snapshot"
                 time.sleep(0.02)
-            writes = client.tiers()["snapshot"]["writes"]
-            assert writes >= 1
+            assert client.stats()["snapshot"]["writes"] >= 1
     # and the drain still writes a final one on top
-    loaded = os.path.exists(os.path.join(snap_dir, SNAPSHOT_MANIFEST))
-    assert loaded
+    assert os.path.exists(os.path.join(snap_dir, SNAPSHOT_MANIFEST))
 
 
 def test_corrupt_snapshot_is_a_cold_start_not_a_crash(tmp_path):
     snap_dir = tmp_path / "snap"
     snap_dir.mkdir()
     (snap_dir / SNAPSHOT_MANIFEST).write_text("{definitely not json")
-    kw = _tiering_kwargs(snapshot_dir=str(snap_dir))
-    with running_server(**kw) as (ep, _server):
+    with running_server(**_kwargs(snapshot_dir=str(snap_dir))) as (ep, _s):
         with ServiceClient(**ep) as client:
-            assert client.tiers()["snapshot"]["restored"] == 0
-            assert client.tiers()["graphs"] == 0  # no tier state adopted
+            assert client.stats()["snapshot"]["restored"] == 0
             br = client.submit(BatchJob(SRC, name="cold"))
             assert br.ok  # cold start, but the server still serves
+
+
+def test_older_format_snapshot_with_tier_state_is_a_cold_start(tmp_path):
+    """A snapshot written by an older release — v3 cache format, with
+    the retired adaptive-tiering state in its manifest — is ignored: the
+    server comes up cold and compiles on first contact."""
+    snap_dir = tmp_path / "snap"
+    snap_dir.mkdir()
+    key = "ab" * 32
+    (snap_dir / "ab").mkdir()
+    (snap_dir / "ab" / f"{key}.pkl").write_bytes(b"not a v4 entry")
+    (snap_dir / SNAPSHOT_MANIFEST).write_text(json.dumps({
+        "format": "repro-graph-cache-v3",
+        "keys": [key],
+        "state": {"tiers": {"v": 1, "graphs": {
+            key: {"tier": "vectorized", "hits": 70, "hotness": 9.5},
+        }}},
+    }))
+    with running_server(**_kwargs(snapshot_dir=str(snap_dir))) as (ep, _s):
+        with ServiceClient(**ep) as client:
+            assert client.stats()["snapshot"]["restored"] == 0
+            br = client.submit(BatchJob(SRC, name="cold"))
+            assert br.ok and not br.cache_hit
+            assert br.result.memory == run_ast(parse(SRC))

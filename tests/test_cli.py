@@ -228,8 +228,8 @@ def test_bench_sim_mode_selects_backend(capsys, tmp_path):
         == 0
     )
     err = capsys.readouterr().err
-    # auto resolves to the vectorized interpreter on the idealized machine
-    assert "sim backends — vectorized: 1 jobs" in err
+    # auto resolves to the packed interpreter on the idealized machine
+    assert "sim backends — packed: 1 jobs" in err
 
     assert (
         main(
@@ -240,7 +240,7 @@ def test_bench_sim_mode_selects_backend(capsys, tmp_path):
                 "--schemas",
                 "schema1",
                 "--sim-mode",
-                "vectorized",
+                "step",
                 "--cache-dir",
                 str(tmp_path),
             ]
@@ -248,7 +248,7 @@ def test_bench_sim_mode_selects_backend(capsys, tmp_path):
         == 0
     )
     err = capsys.readouterr().err
-    assert "sim backends — vectorized: 1 jobs" in err
+    assert "sim backends — step: 1 jobs" in err
 
 
 def test_bench_rejects_bad_sim_mode():

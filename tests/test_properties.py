@@ -70,12 +70,11 @@ def machine_configs(draw):
     """A random valid MachineConfig: PE count, latencies, k-bound,
     locality model, and scheduler mode drawn jointly (respecting the
     config's own validity rules: network latency needs finite PEs, the
-    forced fast path excludes arbitration state)."""
+    forced packed interpreter excludes arbitration state)."""
     num_pes = draw(st.one_of(st.none(), st.integers(1, 4)))
     loop_bound = draw(st.one_of(st.none(), st.integers(1, 3)))
     modes = ["auto", "step"]
     if num_pes is None and loop_bound is None:
-        modes.append("fast")
         modes.append("packed")
     return MachineConfig(
         num_pes=num_pes,
@@ -392,7 +391,7 @@ def test_engine_cache_equivalence_across_joint_config_space(seed, opts, config):
     res = simulate(cp, None, config)
     assert res.memory == ref, (opts, config)
     # step-mode twin of the same machine on a fresh compile: the cache and
-    # the fast path must not change work, makespan, or final memory
+    # the packed interpreter must not change work, makespan, or final memory
     import dataclasses
 
     step = simulate(

@@ -28,7 +28,7 @@ def test_all_routes_agree_on_seeded_programs():
         report = check_program(gp.source, gp.inputs)
         assert report.ok, report.summary()
         # sanity: the sweep really fanned out (2 interpreters + per
-        # schema: 3 loops + finite-PE + 2 cached, x input vectors)
+        # schema: 2 loops + finite-PE + region + 2 cached, x input vectors)
         assert report.routes_run >= 2 + len(report.schemas) * 6
 
 
@@ -59,19 +59,14 @@ def test_ref_crash_classification():
 
 
 def test_mutation_is_caught_classified_and_localized(monkeypatch):
-    """Break `*` for the flat-array family only (packed binds
-    BINOP_FUNCS at init and vectorized shares its runtime table; the
-    step/fast loops call apply_binop directly).  The oracle must flag
-    exactly the packed and vectorized routes."""
+    """Break `*` for the packed interpreter only (it binds BINOP_FUNCS at
+    init; the step loop calls apply_binop directly).  The oracle must
+    flag exactly the packed routes."""
     monkeypatch.setitem(semantics.BINOP_FUNCS, "*", lambda a, b: a * b + 1)
     report = check_program("x := 3;\ny := x * 5;\n")
     assert not report.ok
-    assert all(
-        "/packed" in d.route or "/vectorized" in d.route
-        for d in report.divergences
-    )
-    assert any("/packed" in d.route for d in report.divergences)
-    assert any("/vectorized" in d.route for d in report.divergences)
+    assert report.divergences
+    assert all("/packed" in d.route for d in report.divergences)
     kinds = {d.kind for d in report.divergences}
     assert "sim_divergence" in kinds
 
@@ -89,10 +84,7 @@ def test_mutation_fuzz_end_to_end_minimizes_small(monkeypatch, tmp_path):
     assert not report.ok, "mutation escaped the fuzzer"
     finding = report.findings[0]
     assert finding.divergence.kind == "sim_divergence"
-    assert (
-        "/packed" in finding.divergence.route
-        or "/vectorized" in finding.divergence.route
-    )
+    assert "/packed" in finding.divergence.route
     assert 0 < finding.minimized_lines <= 10
     assert finding.regression_path is not None
     assert finding.regression_path.exists()
@@ -216,49 +208,3 @@ def test_blame_fuzz_end_to_end_minimizes_against_pass(monkeypatch, tmp_path):
     meta = parse_regression(finding.regression_path)
     assert meta["guilty_pass"] == "switch_placement"
     assert meta["seed"] is not None
-
-
-@pytest.mark.tier1
-def test_tier_promotion_route_catches_vectorized_fault(monkeypatch):
-    """Corrupt the vectorized backend's memory: the tier-promotion
-    route — the stream that crosses fast -> packed -> vectorized
-    mid-flight, exactly what the service's adaptive JIT does — must
-    report divergences attributed to the promoted tier."""
-    from repro.machine import vectorized as vec_mod
-
-    real = vec_mod.VectorizedSimulator.run
-
-    def warped(self, *a, **kw):
-        res = real(self, *a, **kw)
-        res.memory["__tier_bug__"] = 1
-        return res
-
-    monkeypatch.setattr(vec_mod.VectorizedSimulator, "run", warped)
-    report = check_program(SRC, finite_pes=False)
-    assert not report.ok
-    tier_divs = [d for d in report.divergences
-                 if "tier_promotion" in d.route]
-    assert tier_divs, report.summary()
-    # only the vectorized rung of the ladder diverged
-    assert all(d.route.endswith("/vectorized") for d in tier_divs)
-
-
-def test_tier_promotion_route_gated_on_full_tier_family(monkeypatch):
-    """Without the full fast/packed/vectorized family in sim_modes the
-    promotion ladder cannot run, so the route must stay out of the
-    sweep (no false attribution to a route that never ran)."""
-    from repro.machine import vectorized as vec_mod
-
-    real = vec_mod.VectorizedSimulator.run
-
-    def warped(self, *a, **kw):
-        res = real(self, *a, **kw)
-        res.memory["__tier_bug__"] = 1
-        return res
-
-    monkeypatch.setattr(vec_mod.VectorizedSimulator, "run", warped)
-    report = check_program(SRC, sim_modes=("step", "fast", "vectorized"),
-                           finite_pes=False)
-    assert not report.ok  # the mode loop still catches the fault
-    assert not [d for d in report.divergences
-                if "tier_promotion" in d.route]
