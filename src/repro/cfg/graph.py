@@ -346,14 +346,3 @@ class CFG:
         new._pred = {nid: list(es) for nid, es in self._pred.items()}
         new._next_id = self._next_id
         return new
-
-    def to_networkx(self):
-        """Export to a networkx DiGraph (edge attr ``direction``)."""
-        import networkx as nx
-
-        g = nx.MultiDiGraph()
-        for nid, node in self.nodes.items():
-            g.add_node(nid, kind=node.kind.value, describe=node.describe())
-        for e in self.edges():
-            g.add_edge(e.src, e.dst, direction=e.direction)
-        return g

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 from ..dfg.stats import GraphStats, graph_stats
 from ..machine.config import MachineConfig
+from ..machine.packed import PackedProgram
 from ..machine.simulator import SimResult
 from ..obs.trace import activate, deactivate, new_trace_id, tracer
 from ..translate.pipeline import CompileOptions, simulate
@@ -101,40 +102,30 @@ def _worker_init(cache_dir, capacity: int) -> None:
 
 def _worker_compile(item: tuple):
     """Pool entry point for the region compiler's cold-region fan-out:
-    ``(source, options)`` or ``(source, options, program_ast)`` in, a
-    packed :class:`CompiledProgram` out.  When the planner ships the
-    already-parsed sub-program AST the worker compiles straight from it
-    (no re-parse), checking/filling the worker cache under the source
-    key.  Compiles through the worker's cache when the pool was built by
-    :func:`make_pool` (sharing the disk tier), bare otherwise."""
+    ``(source, options, program_ast)`` in, a slim
+    :class:`CompiledProgram` out — the parent only stitches the
+    subgraph, and the full compile context would dominate the return
+    pickle.  The worker compiles straight from the already-parsed
+    sub-program AST (no re-parse), checking/filling the worker cache
+    under the source key when the pool was built by :func:`make_pool`
+    (sharing the disk tier)."""
     from ..translate.pipeline import compile_program
-    from ..translate.regions import slim_region_cp
 
-    source, options = item[0], item[1]
-    prog = item[2] if len(item) > 2 else None
-    if _WORKER_CACHE is not None:
-        if prog is None:
-            cp, _ = _WORKER_CACHE.lookup(source, options)
-            return cp
-        cp = _WORKER_CACHE.peek(source, options)
-        if cp is None:
-            # slim before caching/shipping: the parent only stitches the
-            # subgraph, and the full compile context would dominate the
-            # return pickle
-            cp = slim_region_cp(compile_program(prog, options=options))
-            _WORKER_CACHE.insert(source, options, cp)
-        return cp
-    if prog is not None:
-        return slim_region_cp(compile_program(prog, options=options))
-    cp = compile_program(source, options=options)
-    cp.ensure_packed()
+    source, options, prog = item
+    if _WORKER_CACHE is None:
+        return compile_program(prog, options=options).slim()
+    cp = _WORKER_CACHE.peek(source, options)
+    if cp is None:
+        cp = _WORKER_CACHE.insert(
+            source, options, compile_program(prog, options=options)
+        )
     return cp
 
 
 def compile_sources_pooled(
     pool: multiprocessing.pool.Pool, items: list[tuple]
 ) -> list:
-    """Map ``(source, options[, program_ast])`` tuples over ``pool``,
+    """Map ``(source, options, program_ast)`` tuples over ``pool``,
     preserving order.  Used by :mod:`repro.translate.regions` to compile
     cold regions in parallel; compile errors (including
     ``CertificateError``) propagate to the caller."""
@@ -210,19 +201,19 @@ def _run_one_inner(cache: GraphCache, index: int, job: BatchJob) -> BatchResult:
     )
 
 
-# payloads arrive as pickled bytes keyed by content: the same graph blob
-# decodes once per worker and then serves every later job — and, with a
-# persistent pool, every later sweep — for free
-_PAYLOAD_CACHE: dict[bytes, object] = {}
+# executables arrive as pickled bytes keyed by content: the same graph
+# blob decodes once per worker and then serves every later job — and,
+# with a persistent pool, every later sweep — for free
+_DECODED: dict[bytes, PackedProgram] = {}
 
 
-def _decode_payload(blob: bytes):
-    payload = _PAYLOAD_CACHE.get(blob)
-    if payload is None:
-        if len(_PAYLOAD_CACHE) >= 512:
-            _PAYLOAD_CACHE.clear()
-        payload = _PAYLOAD_CACHE[blob] = pickle.loads(blob)
-    return payload
+def _decode(blob: bytes) -> PackedProgram:
+    exe = _DECODED.get(blob)
+    if exe is None:
+        if len(_DECODED) >= 512:
+            _DECODED.clear()
+        exe = _DECODED[blob] = pickle.loads(blob)
+    return exe
 
 
 def _worker_run(item: tuple):
@@ -240,7 +231,7 @@ def _worker_run(item: tuple):
         _, index, job = item
         return _run_one(_WORKER_CACHE, index, job)
     _, index, blob, inputs, config, trace_id = item
-    payload = _decode_payload(blob)
+    exe = _decode(blob)
     token = activate(trace_id) if trace_id else None
     try:
         err = tb = None
@@ -249,7 +240,7 @@ def _worker_run(item: tuple):
         try:
             backend = (config or _DEFAULT_CONFIG).backend()
             with tracer.span("engine.simulate", backend=backend):
-                res = payload.run(inputs, config)
+                res = exe.run(inputs, config)
         except Exception as exc:
             err = f"{type(exc).__name__}: {exc}"
             tb = _traceback.format_exc()
@@ -403,6 +394,8 @@ def _run_pooled(
     items: list[tuple] = []
     premade: dict[int, BatchResult] = {}
     meta: dict[int, tuple] = {}
+    # each distinct executable is pickled once per batch
+    blobs: dict[PackedProgram, bytes] = {}
     for i, job in enumerate(jobs):
         if (job.config or _DEFAULT_CONFIG).backend() != "packed":
             items.append(("job", i, job))
@@ -418,7 +411,12 @@ def _run_pooled(
                         cp, hit = cache.lookup(job.source, job.options)
                         if sp is not None:
                             sp.attrs["cache_hit"] = hit
-                    payload = cp.packed_blob()
+                    exe = cp.ensure_packed()
+                    blob = blobs.get(exe)
+                    if blob is None:
+                        blob = blobs[exe] = pickle.dumps(
+                            exe, pickle.HIGHEST_PROTOCOL
+                        )
             except Exception as exc:
                 premade[i] = BatchResult(
                     name=name,
@@ -443,7 +441,7 @@ def _run_pooled(
                 _take_spans(job),
             )
             items.append(
-                ("packed", i, payload, job.inputs, job.config, job.trace_id)
+                ("packed", i, blob, job.inputs, job.config, job.trace_id)
             )
         finally:
             if token is not None:

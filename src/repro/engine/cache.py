@@ -13,6 +13,10 @@ changes the key; the format version is bumped whenever the pickled
 wholesale.  Only plain source *text* is cacheable — pre-parsed ``Program``
 objects bypass the cache (their identity is not content-addressed).
 
+Entries are stored slim (:meth:`CompiledProgram.slim`): a lookup returns
+the graph, streams, certificates and executable, not the CFG or the pass
+context the compile worked on.
+
 Two tiers:
 
 * an in-memory LRU (per process, default 256 entries) serving repeated
@@ -45,8 +49,10 @@ from ..translate.pipeline import CompiledProgram, CompileOptions, compile_progra
 #: source graph, so cached entries are run-ready without re-lowering;
 #: v3: region-compiled entries — cfg=None, pass_log led by the
 #: region_stitch certificate — share the store with monolithic ones;
-#: v4: PackedGraph stores per-port fan-out tuples instead of CSR arrays)
-CACHE_FORMAT = "repro-graph-cache-v4"
+#: v4: PackedGraph stores per-port fan-out tuples instead of CSR arrays;
+#: v5: entries are slim and carry one executable memo, a PackedProgram,
+#: plus the memory spec)
+CACHE_FORMAT = "repro-graph-cache-v5"
 
 #: commit-point file of a cache snapshot directory (written atomically
 #: *after* every entry, so a snapshot is either complete or invisible)
@@ -101,26 +107,16 @@ class GraphCache:
         self,
         capacity: int = 256,
         cache_dir: str | os.PathLike | None = None,
-        capacity_bytes: int | None = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if capacity_bytes is not None and capacity_bytes < 1:
-            raise ValueError("capacity_bytes must be >= 1")
         self.capacity = capacity
-        #: approximate in-memory budget (sum of entry blob sizes); the
-        #: count capacity still applies on top.  Sizing by bytes keeps
-        #: thousands of small region subgraphs from evicting a few giant
-        #: whole-program entries (and vice versa).
-        self.capacity_bytes = capacity_bytes
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.stats = CacheStats()
         #: worker pool the region compiler fans cold region compiles out
         #: on; set by whoever owns a pool (run_batch, benches, the CLI)
         self.region_pool = None
         self._mem: OrderedDict[str, CompiledProgram] = OrderedDict()
-        self._sizes: dict[str, int] = {}
-        self._total_bytes = 0
         self._lock = threading.Lock()
         # single-flight: key -> event set when the leading lookup settles
         self._inflight: dict[str, threading.Event] = {}
@@ -131,7 +127,9 @@ class GraphCache:
         self, source: str, options: CompileOptions | None = None, **kwargs
     ) -> tuple[CompiledProgram, bool]:
         """Fetch-or-compile.  Returns ``(compiled, was_cached)`` where
-        ``was_cached`` covers both the memory and disk tiers."""
+        ``was_cached`` covers both the memory and disk tiers; either way
+        ``compiled`` is the stored entry, so a later hit returns the same
+        object."""
         if options is None:
             options = CompileOptions(**kwargs)
         elif kwargs:
@@ -162,19 +160,9 @@ class GraphCache:
                 return cp, True
             with tracer.span("cache.compile", schema=options.schema):
                 cp = self._compile(source, options)
-            # lower to the packed form before the entry is shared when a
-            # tier needs the blob (disk pickles it, byte-LRU sizes by it);
-            # a count-only memory cache defers lowering to first use —
-            # packing a giant stitched graph costs seconds the warm
-            # incremental path shouldn't pay
-            if self._needs_packed():
-                with tracer.span("cache.pack"):
-                    cp.ensure_packed()
             with self._lock:
                 self.stats.misses += 1
-                self._remember(key, cp)
-            self._disk_write(key, cp)
-            return cp, False
+            return self._store(key, cp), False
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
@@ -208,16 +196,11 @@ class GraphCache:
 
     def insert(
         self, source: str, options: CompileOptions, cp: CompiledProgram
-    ) -> None:
+    ) -> CompiledProgram:
         """Store an externally compiled program under its content
-        address (both tiers).  Used by the region compiler to bank
-        subgraphs that worker processes compiled."""
-        if self._needs_packed():
-            cp.ensure_packed()
-        key = graph_key(source, options)
-        with self._lock:
-            self._remember(key, cp)
-        self._disk_write(key, cp)
+        address (both tiers) and return the stored entry.  Used by the
+        region compiler to bank the regions it compiles."""
+        return self._store(graph_key(source, options), cp)
 
     def _compile(self, source: str, options: CompileOptions):
         """Miss-path compile: region-partitioned (memoizing regions back
@@ -233,51 +216,28 @@ class GraphCache:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _needs_packed(self) -> bool:
-        """Whether a tier consumes the packed blob at insert time."""
-        return self.cache_dir is not None or self.capacity_bytes is not None
-
-    @staticmethod
-    def _entry_size(cp: CompiledProgram) -> int:
-        """Approximate in-memory weight: the pickled shipping payload
-        (packed graph + memory spec), memoized on the entry itself."""
-        try:
-            return len(cp.packed_blob())
-        except Exception:
-            try:
-                return len(pickle.dumps(cp, protocol=pickle.HIGHEST_PROTOCOL))
-            except Exception:
-                return 1
+    def _store(self, key: str, cp: CompiledProgram) -> CompiledProgram:
+        """Bank ``cp`` slimmed in both tiers and return what was stored.
+        An entry bound for disk is lowered first, so whatever reads it
+        back gets it ready to run; a memory-only cache defers lowering
+        to first use — packing a giant stitched graph costs seconds the
+        warm incremental path shouldn't pay."""
+        cp = cp.slim()
+        if self.cache_dir is not None:
+            with tracer.span("cache.pack"):
+                cp.ensure_packed()
+        with self._lock:
+            self._remember(key, cp)
+        self._disk_write(key, cp)
+        return cp
 
     def _remember(self, key: str, cp: CompiledProgram) -> None:
         # caller holds the lock
-        if key in self._mem:
-            self._total_bytes -= self._sizes.get(key, 0)
         self._mem[key] = cp
         self._mem.move_to_end(key)
-        # size entries only under a byte budget: measuring means packing
-        # + pickling, which count-only caches shouldn't pay for
-        size = (
-            self._entry_size(cp) if self.capacity_bytes is not None else 0
-        )
-        self._sizes[key] = size
-        self._total_bytes += size
-        while len(self._mem) > 1 and (
-            len(self._mem) > self.capacity
-            or (
-                self.capacity_bytes is not None
-                and self._total_bytes > self.capacity_bytes
-            )
-        ):
-            old, _ = self._mem.popitem(last=False)
-            self._total_bytes -= self._sizes.pop(old, 0)
+        while len(self._mem) > self.capacity:
+            self._mem.popitem(last=False)
             self.stats.evictions += 1
-
-    @property
-    def total_bytes(self) -> int:
-        """Approximate bytes held by the in-memory tier (tracked only
-        when a ``capacity_bytes`` budget is set)."""
-        return self._total_bytes
 
     def _disk_path(self, key: str) -> Path:
         assert self.cache_dir is not None
@@ -347,20 +307,17 @@ class GraphCache:
 
     # -- snapshot / restore ----------------------------------------------
 
-    def snapshot(
-        self, snapshot_dir: str | os.PathLike, state: dict | None = None
-    ) -> int:
+    def snapshot(self, snapshot_dir: str | os.PathLike) -> int:
         """Persist the in-memory tier to ``snapshot_dir`` so a restarted
         process can come up warm.
 
         Entries are written in the disk tier's layout
-        (``<dir>/<key[:2]>/<key>.pkl``, atomic temp+rename, packed blob
-        ensured first so restored entries are run-ready); the manifest
-        is written atomically **last** and is the commit point.  Old
-        entry files are never deleted, so a crash — even ``kill -9`` —
-        mid-snapshot leaves the previous manifest valid and pointing at
-        complete files.  ``state`` is an opaque JSON-able dict stored in
-        the manifest.
+        (``<dir>/<key[:2]>/<key>.pkl``, atomic temp+rename, each entry
+        lowered first so restored entries are run-ready); the manifest —
+        the cache format and the entry keys — is written atomically
+        **last** and is the commit point.  Old entry files are never
+        deleted, so a crash — even ``kill -9`` — mid-snapshot leaves the
+        previous manifest valid and pointing at complete files.
 
         Returns the number of entries the committed manifest lists, or
         0 when the manifest could not be written (snapshot unchanged).
@@ -380,11 +337,7 @@ class GraphCache:
                 # existing file is a complete previous write — skip it
                 if path.exists() or self._write_entry(path, cp):
                     keys.append(key)
-            manifest = {
-                "format": CACHE_FORMAT,
-                "keys": keys,
-                "state": state or {},
-            }
+            manifest = {"format": CACHE_FORMAT, "keys": keys}
             try:
                 root.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(
@@ -403,14 +356,12 @@ class GraphCache:
                 return 0
         return len(keys)
 
-    def restore(
-        self, snapshot_dir: str | os.PathLike
-    ) -> tuple[int, dict]:
+    def restore(self, snapshot_dir: str | os.PathLike) -> int:
         """Load a :meth:`snapshot` into the in-memory tier.
 
-        Returns ``(entries_loaded, state)``.  A missing, corrupt, or
+        Returns the number of entries loaded.  A missing, corrupt, or
         wrong-format manifest — or any unreadable entry — degrades to a
-        cold start (``(0, {})`` / skipped entry), never an error.
+        cold start (0 / skipped entry), never an error.
         """
         root = Path(snapshot_dir)
         try:
@@ -418,18 +369,15 @@ class GraphCache:
                 (root / SNAPSHOT_MANIFEST).read_text(encoding="utf-8")
             )
         except (OSError, ValueError):
-            return 0, {}
+            return 0
         if (
             not isinstance(manifest, dict)
             or manifest.get("format") != CACHE_FORMAT
         ):
-            return 0, {}
+            return 0
         keys = manifest.get("keys")
-        state = manifest.get("state")
         if not isinstance(keys, list):
             keys = []
-        if not isinstance(state, dict):
-            state = {}
         loaded = 0
         with tracer.span("cache.restore", keys=len(keys)):
             for key in keys:
@@ -441,7 +389,7 @@ class GraphCache:
                 with self._lock:
                     self._remember(key, cp)
                 loaded += 1
-        return loaded, state
+        return loaded
 
     # -- management ------------------------------------------------------
 
@@ -450,8 +398,6 @@ class GraphCache:
         plus any ``*.tmp`` orphans an interrupted atomic write left)."""
         with self._lock:
             self._mem.clear()
-            self._sizes.clear()
-            self._total_bytes = 0
         if disk and self.cache_dir is not None and self.cache_dir.exists():
             for sub in self.cache_dir.iterdir():
                 if sub.is_dir() and len(sub.name) == 2:

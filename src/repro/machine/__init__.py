@@ -31,7 +31,7 @@ from .errors import (
     SimulationLimitError,
     TokenClashError,
 )
-from .memory import DataMemory
+from .memory import DataMemory, MemorySpec
 from .istructure import IStructureMemory
 from .metrics import Metrics
 from .simulator import SimResult, Simulator, simulate_graph
@@ -47,6 +47,7 @@ __all__ = [
     "MachineConfig",
     "MachineError",
     "MemoryFault",
+    "MemorySpec",
     "Metrics",
     "PackedGraph",
     "PackedProgram",

@@ -7,7 +7,10 @@ ordering must be enforced by the program graph, not by this unit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import MemoryFault
+from .istructure import IStructureMemory
 
 
 class DataMemory:
@@ -90,3 +93,49 @@ class DataMemory:
         m.scalars = dict(self.scalars)
         m.arrays = {k: list(v) for k, v in self.arrays.items()}
         return m
+
+
+@dataclass(frozen=True)
+class MemorySpec:
+    """The memory image a compiled program runs against, as three flat
+    tuples: the scalars (each initialized to its input value or 0), the
+    updatable arrays and the I-structure arrays, both as (name, size)
+    pairs.  Built once per compiled program; both scheduler loops build
+    their memory from it."""
+
+    scalars: tuple[str, ...] = ()
+    arrays: tuple[tuple[str, int], ...] = ()
+    istruct_arrays: tuple[tuple[str, int], ...] = ()
+
+    @classmethod
+    def of(cls, prog, istructure_arrays=()) -> "MemorySpec":
+        """The spec of a parsed :class:`~repro.lang.Program` whose
+        ``istructure_arrays`` were promoted to I-structures."""
+        return cls(
+            scalars=tuple(
+                v for v in prog.variables() if v not in prog.arrays
+            ),
+            arrays=tuple(
+                (name, size)
+                for name, size in prog.arrays.items()
+                if name not in istructure_arrays
+            ),
+            istruct_arrays=tuple(
+                (name, prog.arrays[name]) for name in istructure_arrays
+            ),
+        )
+
+    def image(
+        self, inputs: dict[str, int] | None = None
+    ) -> tuple[DataMemory, IStructureMemory]:
+        """A fresh memory image: ``inputs`` name scalars (array names
+        among them are ignored)."""
+        inputs = inputs or {}
+        array_names = {name for name, _ in self.arrays}
+        array_names.update(name for name, _ in self.istruct_arrays)
+        scalars = {v: inputs.get(v, 0) for v in self.scalars}
+        scalars.update(
+            {k: v for k, v in inputs.items() if k not in array_names}
+        )
+        mem = DataMemory(scalars=scalars, arrays=dict(self.arrays))
+        return mem, IStructureMemory(dict(self.istruct_arrays))

@@ -27,9 +27,10 @@ recorded clash list are bit-identical to the per-cycle reference loop
 ``tests/engine/test_packed_differential.py`` holds it to that across the
 full corpus × schemas × clash-record mode.
 
-:class:`PackedProgram` bundles the packed graph with the memory-image
-spec needed to run it.  It is the executable every idealized run goes
-through — :func:`~repro.translate.pipeline.simulate`, serial and pooled
+:class:`PackedProgram` bundles the packed graph with the
+:class:`~repro.machine.memory.MemorySpec` needed to run it.  It is the
+executable every idealized run of a compiled program goes through —
+:func:`~repro.translate.pipeline.simulate`, serial and pooled
 :func:`~repro.engine.batch.run_batch`, and the service — and it pickles
 to a few flat tuples (no AST, no CFG, no node objects), which is what
 pool workers receive.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..dfg.graph import DFGraph
 from ..dfg.nodes import MEMORY_KINDS, OpKind, num_inputs, num_outputs
@@ -54,7 +55,7 @@ from .errors import (
     TokenClashError,
 )
 from .istructure import IStructureMemory
-from .memory import DataMemory
+from .memory import DataMemory, MemorySpec
 from .metrics import Metrics
 from .simulator import SimResult
 
@@ -158,7 +159,10 @@ class PackedGraph:
 
 
 def pack_graph(graph: DFGraph) -> PackedGraph:
-    """The lowering pass: validate, then flatten to struct-of-arrays."""
+    """The lowering pass: validate, then flatten to struct-of-arrays.
+
+    This is the one check a graph gets before it first runs on the
+    packed loop: the lowering is what runs from then on."""
     graph.validate(allow_dangling_outputs=True)
     order = sorted(graph.nodes)
     index_of = {nid: i for i, nid in enumerate(order)}
@@ -222,44 +226,23 @@ def pack_graph(graph: DFGraph) -> PackedGraph:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedProgram:
-    """The cross-process shipping unit: a packed graph plus the memory
-    image spec needed to run it — everything a pool worker needs, and
-    nothing else (no AST, CFG, streams, or translation state).
+    """The run-ready form of a compiled program and its shipping unit: the
+    validated lowering plus the memory spec — everything a run needs, and
+    nothing else (no AST, CFG, streams, or translation state).  Compared
+    and hashed by identity: each compiled program memoizes one."""
 
-    ``scalar_vars`` are the program's scalars (initialized to the input
-    value or 0); ``arrays`` the updatable arrays and ``istruct_arrays``
-    the I-structure-promoted ones, both as (name, size) pairs.
-    """
-
-    packed: PackedGraph
-    scalar_vars: tuple[str, ...]
-    arrays: tuple[tuple[str, int], ...] = ()
-    istruct_arrays: tuple[tuple[str, int], ...] = ()
-
-    def memories(
-        self, inputs: dict[str, int] | None = None
-    ) -> tuple[DataMemory, IStructureMemory]:
-        """Mirror of :meth:`CompiledProgram.memories` over the flat spec."""
-        inputs = inputs or {}
-        array_names = {name for name, _ in self.arrays}
-        array_names.update(name for name, _ in self.istruct_arrays)
-        scalars = {v: inputs.get(v, 0) for v in self.scalar_vars}
-        scalars.update(
-            {k: v for k, v in inputs.items() if k not in array_names}
-        )
-        mem = DataMemory(scalars=scalars, arrays=dict(self.arrays))
-        ist = IStructureMemory(dict(self.istruct_arrays))
-        return mem, ist
+    graph: PackedGraph
+    memory: MemorySpec
 
     def run(
         self,
         inputs: dict[str, int] | None = None,
         config: MachineConfig | None = None,
     ) -> SimResult:
-        mem, ist = self.memories(inputs)
-        return PackedSimulator(self.packed, mem, ist, config).run()
+        mem, ist = self.memory.image(inputs)
+        return PackedSimulator(self.graph, mem, ist, config).run()
 
 
 class PackedSimulator:
@@ -412,7 +395,6 @@ class PackedSimulator:
             clashes=self.clashes,
             trace=self.trace,
             wall_time=time.perf_counter() - t0,
-            fast_path=True,
             occupancy=self._occupancy,
             backend="packed",
         )

@@ -47,8 +47,6 @@ class SimResult:
     #: host seconds spent inside :meth:`Simulator.run` (wall clock, not
     #: simulated cycles) — the denominator of engine speedup claims
     wall_time: float = 0.0
-    #: True when the run used the event-driven packed loop
-    fast_path: bool = False
     #: set by the engine layer: the compiled graph came from the cache
     cache_hit: bool = False
     #: token-occupancy high-water samples: one ``[cycle, tokens_in_flight,
@@ -103,7 +101,10 @@ class _Frames:
 
 
 class Simulator:
-    """One program graph + memory + config = one runnable machine."""
+    """One program graph + memory + config = one runnable machine: the
+    per-cycle reference loop, whatever the config's ``sim_mode``.
+    :func:`simulate_graph` and :func:`~repro.translate.pipeline.simulate`
+    pick between it and the packed loop."""
 
     def __init__(
         self,
@@ -395,8 +396,6 @@ class Simulator:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimResult:
-        if self.config.backend() == "packed":
-            return self._run_packed()
         t0 = time.perf_counter()
         start = self.graph.node(self.graph.start)
         for port, seed in enumerate(start.seeds):
@@ -432,25 +431,6 @@ class Simulator:
             occupancy=self._occupancy,
             backend="step",
         )
-
-    def _run_packed(self) -> SimResult:
-        """Lower the graph and delegate to the flat-array interpreter,
-        then adopt its bookkeeping so this Simulator reads as if it ran
-        the loop itself (callers inspect ``.metrics``/``.clashes``/
-        ``.trace`` post-run)."""
-        from .packed import PackedSimulator, pack_graph  # circular-safe
-
-        ps = PackedSimulator(
-            pack_graph(self.graph), self.memory, self.istructs, self.config
-        )
-        ps.profile_hook = self.profile_hook
-        result = ps.run()
-        self.metrics = ps.metrics
-        self.clashes = ps.clashes
-        self.trace = ps.trace
-        self._occupancy = ps._occupancy
-        self._cycle = ps._cycle
-        return result
 
     def _loop_step(self) -> None:
         """The general per-cycle scheduler: steps the clock a cycle at a
@@ -570,5 +550,14 @@ def simulate_graph(
     istructs: IStructureMemory | None = None,
     config: MachineConfig | None = None,
 ) -> SimResult:
-    """Convenience one-shot runner."""
+    """Convenience one-shot runner over a bare graph: idealized configs
+    lower it and run the packed loop, the rest run the per-cycle
+    reference loop.  Either way the graph is validated first."""
+    config = config or MachineConfig()
+    if config.backend() == "packed":
+        from .packed import PackedSimulator, pack_graph  # circular-safe
+
+        return PackedSimulator(
+            pack_graph(graph), memory, istructs, config
+        ).run()
     return Simulator(graph, memory, istructs, config).run()

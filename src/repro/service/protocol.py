@@ -126,7 +126,6 @@ def _sim_result_to_wire(r: SimResult) -> dict:
         "clashes": [list(c) for c in r.clashes],
         "trace": [list(t) for t in r.trace],
         "wall_time": r.wall_time,
-        "fast_path": r.fast_path,
         "cache_hit": r.cache_hit,
         "occupancy": [list(row) for row in r.occupancy],
         "backend": r.backend,
@@ -141,7 +140,6 @@ def _sim_result_from_wire(d: dict) -> SimResult:
         clashes=[tuple(c) for c in d.get("clashes", [])],
         trace=[tuple(t) for t in d.get("trace", [])],
         wall_time=d.get("wall_time", 0.0),
-        fast_path=d.get("fast_path", False),
         cache_hit=d.get("cache_hit", False),
         occupancy=[list(row) for row in d.get("occupancy", [])],
         backend=d.get("backend", ""),

@@ -210,7 +210,7 @@ class ServiceServer:
         if cfg.snapshot_dir is not None:
             # come up warm *before* accepting connections: the first
             # resubmission of any snapshotted graph is a cache hit
-            loaded, _ = self.cache.restore(cfg.snapshot_dir)
+            loaded = self.cache.restore(cfg.snapshot_dir)
             self.registry.gauge("service.snapshot.restored").set(loaded)
         if cfg.pool_size > 1:
             self.pool = make_pool(

@@ -23,7 +23,7 @@ where legal and report what they skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from ..analysis.alias import AliasStructure, Cover
 from ..cfg.builder import build_cfg
@@ -33,8 +33,8 @@ from ..dfg.graph import DFGraph
 from ..lang.ast_nodes import Program
 from ..lang.parser import parse
 from ..machine.config import MachineConfig
-from ..machine.istructure import IStructureMemory
-from ..machine.memory import DataMemory
+from ..machine.memory import MemorySpec
+from ..machine.packed import PackedProgram, pack_graph
 from ..machine.simulator import SimResult, Simulator
 from ..obs.trace import tracer
 from .allpaths import Translation
@@ -120,12 +120,18 @@ class CompileOptions:
 @dataclass
 class CompiledProgram:
     """A compiled program: the dataflow graph plus everything needed to run
-    and inspect it."""
+    and inspect it.
+
+    A compiled graph may be changed only until its first run.  The first
+    idealized run lowers it (:meth:`ensure_packed`), and that lowering is
+    the one place the graph is validated; every later run executes the
+    memoized lowering, so a change made after it would go unseen.
+    """
 
     source: str
     prog: Program
     options: CompileOptions
-    cfg: CFG  # loop-augmented unless insert_loops=False or schema1
+    cfg: CFG | None  # loop-augmented unless insert_loops=False or schema1
     loops: list[Loop]
     streams: list[Stream]
     translation: Translation
@@ -142,100 +148,46 @@ class CompiledProgram:
     pass_ctx: PassContext | None = None
     expansion: object | None = None  # subroutine ExpansionReport, if any
     opt_report: object | None = None  # cfg OptReport when optimize=True
-    #: the graph lowered to flat arrays (see repro.machine.packed), built
-    #: lazily on first packed run and persisted by the graph cache
-    packed: object | None = None
-    #: memoized shipping payload (packed graph + memory spec); rebuilt
-    #: payloads would re-derive the same tuples on every pooled batch
-    _payload: object | None = None
-    #: the payload pre-pickled: what actually crosses the process
-    #: boundary, so repeated pooled sweeps ship a memcpy, not a traversal
-    _payload_blob: bytes | None = None
+    #: the memory image every run builds, from ``prog`` (set at
+    #: construction)
+    memory_spec: MemorySpec | None = None
+    #: the run-ready executable, built by :meth:`ensure_packed`
+    executable: PackedProgram | None = None
+
+    def __post_init__(self) -> None:
+        if self.memory_spec is None:
+            self.memory_spec = MemorySpec.of(
+                self.prog, self.istructure_arrays
+            )
 
     @property
     def graph(self) -> DFGraph:
         return self.translation.graph
 
-    def ensure_packed(self):
-        """Lower the graph to its :class:`PackedGraph` form (idempotent).
+    def ensure_packed(self) -> PackedProgram:
+        """The run-ready executable: the graph lowered (and validated) by
+        :func:`~repro.machine.packed.pack_graph`, plus :attr:`memory_spec`.
 
-        Deliberately lazy: graphs are mutable until first run (benches
-        tweak node latencies post-compile), so packing is deferred to the
-        first simulate/cache-store rather than done inside
-        :func:`compile_program`.
+        Built on the first idealized run, or before the graph cache
+        writes the entry to disk or a snapshot, then memoized; the
+        graph stays mutable until then (benches tweak node latencies
+        after compiling).
         """
-        if self.packed is None:
-            from ..machine.packed import pack_graph
-
-            self.packed = pack_graph(self.graph)
-        return self.packed
-
-    def packed_program(self):
-        """The compact cross-process shipping payload: packed graph plus
-        the memory-image spec, with none of the compile-time object graph
-        (AST, CFG, streams) a worker doesn't need.  Memoized."""
-        if self._payload is not None:
-            return self._payload
-        from ..machine.packed import PackedProgram
-
-        plain = tuple(
-            (name, size)
-            for name, size in self.prog.arrays.items()
-            if name not in self.istructure_arrays
-        )
-        self._payload = PackedProgram(
-            packed=self.ensure_packed(),
-            scalar_vars=tuple(
-                v
-                for v in self.prog.variables()
-                if v not in self.prog.arrays
-            ),
-            arrays=plain,
-            istruct_arrays=tuple(
-                (name, self.prog.arrays[name])
-                for name in self.istructure_arrays
-            ),
-        )
-        return self._payload
-
-    def packed_blob(self) -> bytes:
-        """:meth:`packed_program` serialized once.  The pooled engine
-        ships these bytes verbatim; workers key their payload cache on
-        the blob content, so identical graphs decode once per worker no
-        matter how many sweeps reuse the pool."""
-        if self._payload_blob is None:
-            import pickle
-
-            self._payload_blob = pickle.dumps(
-                self.packed_program(), pickle.HIGHEST_PROTOCOL
+        if self.executable is None:
+            self.executable = PackedProgram(
+                pack_graph(self.graph), self.memory_spec
             )
-        return self._payload_blob
+        return self.executable
 
-    def memories(
-        self, inputs: dict[str, int] | None = None
-    ) -> tuple[DataMemory, IStructureMemory]:
-        inputs = inputs or {}
-        plain = {
-            name: size
-            for name, size in self.prog.arrays.items()
-            if name not in self.istructure_arrays
-        }
-        scalars = {
-            v: inputs.get(v, 0)
-            for v in self.prog.variables()
-            if v not in self.prog.arrays
-        }
-        scalars.update(
-            {k: v for k, v in inputs.items() if k not in self.prog.arrays}
-        )
-        mem = DataMemory(scalars=scalars, arrays=plain)
-        ist = IStructureMemory(
-            {
-                name: self.prog.arrays[name]
-                for name in self.istructure_arrays
-            }
-        )
-        return mem, ist
+    def slim(self) -> CompiledProgram:
+        """This program without its compile-time working state — the CFG,
+        the pass context and the CFG-optimization report — which runs,
+        stitching and reports never read.  It is what the graph cache
+        stores and what pool workers ship back."""
+        dropped = (self.cfg, self.pass_ctx, self.opt_report)
+        if all(x is None for x in dropped):
+            return self
+        return replace(self, cfg=None, pass_ctx=None, opt_report=None)
 
 
 def _pick_cover(alias: AliasStructure, name: str) -> Cover:
@@ -346,15 +298,14 @@ def simulate(
     """Run a compiled program on the ETS machine.
 
     Idealized configs run the memoized executable
-    (:meth:`CompiledProgram.packed_program`), the same path pool workers
-    and the service take; the per-cycle reference loop runs the object
-    graph.  Either way the graph is validated first, since it stays
-    mutable after compilation."""
+    (:meth:`CompiledProgram.ensure_packed`), the same one pool workers
+    and the service run; it was validated once, when it was lowered.
+    Other configs run the per-cycle reference loop over the object
+    graph, which validates the graph itself."""
     cfg = config or MachineConfig()
     if cfg.backend() == "packed":
-        cp.graph.validate(allow_dangling_outputs=True)
-        return cp.packed_program().run(inputs, cfg)
-    mem, ist = cp.memories(inputs)
+        return cp.ensure_packed().run(inputs, cfg)
+    mem, ist = cp.memory_spec.image(inputs)
     return Simulator(cp.graph, mem, ist, cfg).run()
 
 

@@ -468,16 +468,6 @@ def _use_pool(pool) -> bool:
     return pool is not None and (os.cpu_count() or 1) >= POOL_MIN_CORES
 
 
-def slim_region_cp(cp):
-    """A region cache entry stripped to what stitching (and the
-    per-region certificate) consume: the subgraph, its stream interface,
-    and the verified pass log.  The CFG and the pass context duplicate
-    the whole compile-time object graph (~10x the subgraph's pickle) and
-    no consumer of a *region* entry reads them — regions were verified
-    when compiled, re-verification recompiles from source."""
-    return replace(cp, cfg=None, pass_ctx=None, opt_report=None)
-
-
 def _compile_regions(
     plan: RegionPlan, options, cache, pool
 ) -> tuple[list, int]:
@@ -515,19 +505,15 @@ def _compile_regions(
             # the error path to name the guilty region
             raise _annotate(exc, plan, _blame_region(plan, options)) from exc
         for i, cp in zip(misses, compiled):
-            if cp is not None:
-                if cache is not None:
-                    cache.insert(sources[i], ropts, cp)
-                cps[i] = cp
+            cps[i] = cp
     for i in misses:
         if cps[i] is None:
             try:
-                cp = compile_program(plan.progs[i], options=ropts)
+                cps[i] = compile_program(plan.progs[i], options=ropts)
             except CertificateError as exc:
                 raise _annotate(exc, plan, i) from exc
-            cps[i] = slim_region_cp(cp)
-            if cache is not None:
-                cache.insert(sources[i], ropts, cps[i])
+        if cache is not None:
+            cps[i] = cache.insert(sources[i], ropts, cps[i])
     return cps, hits
 
 

@@ -206,13 +206,6 @@ def test_reverse_postorder_starts_at_entry():
     assert set(rpo) == set(cfg.nodes)
 
 
-def test_to_networkx_roundtrip_counts():
-    cfg = build_cfg(parse(RUNNING_EXAMPLE))
-    g = cfg.to_networkx()
-    assert g.number_of_nodes() == len(cfg.nodes)
-    assert g.number_of_edges() == cfg.num_edges()
-
-
 def test_figure_9_program_shape():
     """Figure 9(a): x unused inside the conditional."""
     src = """

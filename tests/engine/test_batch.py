@@ -96,7 +96,7 @@ def test_job_config_is_respected():
     )
     assert one.result.memory == wide.result.memory
     assert one.result.metrics.cycles > wide.result.metrics.cycles
-    assert not one.result.fast_path and wide.result.fast_path
+    assert one.result.backend == "step" and wide.result.backend == "packed"
 
 
 def test_bad_job_does_not_poison_batch():

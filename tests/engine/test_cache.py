@@ -250,3 +250,32 @@ def test_compile_program_options_object_matches_kwargs():
     a = compile_program(SRC, options=CompileOptions(schema="schema1"))
     b = compile_program(SRC, schema="schema1")
     assert graph_stats(a.graph) == graph_stats(b.graph)
+
+
+@pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+def test_lookup_returns_the_slim_stored_entry(tmp_path, disk):
+    """Every entry is stored without the CFG, the pass context and the
+    CFG-optimization report, on a miss and on a hit; a disk-bound entry
+    is lowered before it is written."""
+    opts = CompileOptions(schema="schema2_opt", optimize=True)
+    fresh = compile_program(SRC, options=opts)
+    assert fresh.cfg is not None and fresh.pass_ctx is not None
+    assert fresh.opt_report is not None
+
+    cache = GraphCache(cache_dir=tmp_path if disk else None)
+    cp, hit = cache.lookup(SRC, opts)
+    assert not hit
+    assert (cp.cfg, cp.pass_ctx, cp.opt_report) == (None, None, None)
+    assert (cp.executable is not None) == disk
+    again, hit = cache.lookup(SRC, opts)
+    assert hit and again is cp
+    assert cache.lookup(SRC, opts)[0] is cp
+    assert simulate(cp).memory == run_ast(parse(SRC))
+
+    if disk:
+        other = GraphCache(cache_dir=tmp_path)
+        read, hit = other.lookup(SRC, opts)
+        assert hit and other.stats.disk_hits == 1
+        assert (read.cfg, read.pass_ctx, read.opt_report) == (None, None, None)
+        assert read.executable is not None
+        assert other.lookup(SRC, opts)[0] is read

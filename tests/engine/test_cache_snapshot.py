@@ -38,37 +38,36 @@ def _warm_cache():
 
 def test_snapshot_restore_round_trip(tmp_path):
     cache = _warm_cache()
-    state = {"owner": {"v": 1, "graphs": {"k" * 64: {"hits": 9,
-                                                     "weight": 4.5}}}}
-    n = cache.snapshot(tmp_path, state=state)
+    n = cache.snapshot(tmp_path)
     assert n == 2
     manifest = json.loads((tmp_path / SNAPSHOT_MANIFEST).read_text())
     assert len(manifest["keys"]) == 2
 
     fresh = GraphCache()
-    loaded, got_state = fresh.restore(tmp_path)
-    assert loaded == 2
-    assert got_state == state
-    # restored entries are memory hits and run-ready (packed blob baked)
+    assert fresh.restore(tmp_path) == 2
+    # restored entries are memory hits and run-ready (lowering baked in)
     cp, hit = fresh.lookup(SRC_A, schema="schema2_opt")
     assert hit
-    assert cp.packed is not None
+    assert cp.executable is not None
     assert simulate(cp).memory == run_ast(parse(SRC_A))
 
 
 def test_snapshot_without_state_restores_empty_state(tmp_path):
+    """The manifest holds the cache format and the entry keys, nothing
+    else, and a restore hands back only the entry count."""
     cache = _warm_cache()
     cache.snapshot(tmp_path)
-    _, state = GraphCache().restore(tmp_path)
-    assert state == {}
+    manifest = json.loads((tmp_path / SNAPSHOT_MANIFEST).read_text())
+    assert sorted(manifest) == ["format", "keys"]
+    assert GraphCache().restore(tmp_path) == 2
 
 
 def test_restore_missing_or_corrupt_manifest_is_cold_start(tmp_path):
-    assert GraphCache().restore(tmp_path / "nowhere") == (0, {})
+    assert GraphCache().restore(tmp_path / "nowhere") == 0
     (tmp_path / SNAPSHOT_MANIFEST).write_text("{not json")
-    assert GraphCache().restore(tmp_path) == (0, {})
+    assert GraphCache().restore(tmp_path) == 0
     (tmp_path / SNAPSHOT_MANIFEST).write_text('["a", "list"]')
-    assert GraphCache().restore(tmp_path) == (0, {})
+    assert GraphCache().restore(tmp_path) == 0
 
 
 def test_restore_wrong_format_is_cold_start(tmp_path):
@@ -78,7 +77,7 @@ def test_restore_wrong_format_is_cold_start(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["format"] = "v0-from-the-future"
     path.write_text(json.dumps(manifest))
-    assert GraphCache().restore(tmp_path) == (0, {})
+    assert GraphCache().restore(tmp_path) == 0
 
 
 def test_restore_skips_truncated_entry_loads_the_rest(tmp_path):
@@ -89,8 +88,7 @@ def test_restore_skips_truncated_entry_loads_the_rest(tmp_path):
     entry.write_bytes(entry.read_bytes()[:20])
 
     fresh = GraphCache()
-    loaded, _ = fresh.restore(tmp_path)
-    assert loaded == 1  # the good entry
+    assert fresh.restore(tmp_path) == 1  # the good entry
     _, hit = fresh.lookup(SRC_B, schema="schema1")
     assert hit
     _, hit = fresh.lookup(SRC_A, schema="schema2_opt")
@@ -104,8 +102,7 @@ def test_restore_tolerates_bogus_manifest_keys(tmp_path):
     manifest = json.loads(path.read_text())
     manifest["keys"] += ["", 42, "f" * 64]  # empty, non-str, missing file
     path.write_text(json.dumps(manifest))
-    loaded, _ = GraphCache().restore(tmp_path)
-    assert loaded == 2
+    assert GraphCache().restore(tmp_path) == 2
 
 
 def test_interrupted_snapshot_keeps_previous_manifest(tmp_path, monkeypatch):
@@ -115,7 +112,7 @@ def test_interrupted_snapshot_keeps_previous_manifest(tmp_path, monkeypatch):
     replaced atomically at the very end."""
     cache = GraphCache()
     cache.get_or_compile(SRC_A, schema="schema2_opt")
-    assert cache.snapshot(tmp_path, state={"gen": 1}) == 1
+    assert cache.snapshot(tmp_path) == 1
     before = (tmp_path / SNAPSHOT_MANIFEST).read_bytes()
 
     cache.get_or_compile(SRC_B, schema="schema1")
@@ -127,22 +124,18 @@ def test_interrupted_snapshot_keeps_previous_manifest(tmp_path, monkeypatch):
         return real_replace(src, dst, *a, **kw)
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    assert cache.snapshot(tmp_path, state={"gen": 2}) == 0
+    assert cache.snapshot(tmp_path) == 0
     monkeypatch.undo()
 
     # previous manifest untouched, previous snapshot loads
     assert (tmp_path / SNAPSHOT_MANIFEST).read_bytes() == before
-    loaded, state = GraphCache().restore(tmp_path)
-    assert loaded == 1
-    assert state == {"gen": 1}
+    assert GraphCache().restore(tmp_path) == 1
     # no half-written manifest temp files left behind
     assert not list(tmp_path.glob(f"{SNAPSHOT_MANIFEST}*.tmp"))
 
-    # the next attempt commits generation 2
-    assert cache.snapshot(tmp_path, state={"gen": 2}) == 2
-    loaded, state = GraphCache().restore(tmp_path)
-    assert loaded == 2
-    assert state == {"gen": 2}
+    # the next attempt commits the second generation
+    assert cache.snapshot(tmp_path) == 2
+    assert GraphCache().restore(tmp_path) == 2
 
 
 def test_snapshot_skips_existing_entry_files(tmp_path):
@@ -172,48 +165,53 @@ def test_snapshot_dir_doubles_as_disk_cache_layout(tmp_path):
 # -- entries from an older cache format ---------------------------------------
 
 V3 = "repro-graph-cache-v3"
+V4 = "repro-graph-cache-v4"
 
 
-def _as_v3_layout(cp):
-    """Rewrite ``cp``'s lowering into the v3 pickled layout: CSR fan-out
-    arrays (``arc_index``/``port_ptr``/``arc_dst``/``arc_port``) where v4
-    stores per-port tuples."""
-    pg = cp.ensure_packed()
-    arc_index, port_ptr, arc_dst, arc_port = [], [], [], []
-    for ports in pg.outs:
-        arc_index.append(len(port_ptr))
-        for arcs in ports:
-            port_ptr.append(len(arc_dst))
-            for d, dp in arcs:
-                arc_dst.append(d)
-                arc_port.append(dp)
-    port_ptr.append(len(arc_dst))
-    state = {f.name: getattr(pg, f.name)
-             for f in dataclasses.fields(pg) if f.name != "outs"}
-    state.update(arc_index=tuple(arc_index), port_ptr=tuple(port_ptr),
-                 arc_dst=tuple(arc_dst), arc_port=tuple(arc_port))
-    old = object.__new__(PackedGraph)
-    old.__dict__.update(state)
-    cp.packed = old
-    cp._payload = cp._payload_blob = None
+def _as_old_layout(cp, fmt):
+    """Rewrite ``cp`` in place into the pickled layout ``fmt`` wrote: a
+    bare ``packed`` lowering next to the ``_payload``/``_payload_blob``
+    memos, with no memory spec or executable.  v3's lowering holds CSR
+    fan-out arrays (``arc_index``/``port_ptr``/``arc_dst``/``arc_port``)
+    where v4's holds per-port tuples."""
+    pg = cp.ensure_packed().graph
+    if fmt == V3:
+        arc_index, port_ptr, arc_dst, arc_port = [], [], [], []
+        for ports in pg.outs:
+            arc_index.append(len(port_ptr))
+            for arcs in ports:
+                port_ptr.append(len(arc_dst))
+                for d, dp in arcs:
+                    arc_dst.append(d)
+                    arc_port.append(dp)
+        port_ptr.append(len(arc_dst))
+        state = {f.name: getattr(pg, f.name)
+                 for f in dataclasses.fields(pg) if f.name != "outs"}
+        state.update(arc_index=tuple(arc_index), port_ptr=tuple(port_ptr),
+                     arc_dst=tuple(arc_dst), arc_port=tuple(arc_port))
+        pg = object.__new__(PackedGraph)
+        pg.__dict__.update(state)
+    del cp.__dict__["executable"], cp.__dict__["memory_spec"]
+    cp.__dict__.update(packed=pg, _payload=None, _payload_blob=None)
     return cp
 
 
-def _v3_cache(monkeypatch, cache_dir=None):
-    """A cache whose entries are keyed and laid out as v3 wrote them."""
-    monkeypatch.setattr(cache_mod, "CACHE_FORMAT", V3)
+def _old_cache(monkeypatch, fmt, cache_dir=None):
+    """A cache whose entries are keyed and laid out as ``fmt`` wrote
+    them."""
+    monkeypatch.setattr(cache_mod, "CACHE_FORMAT", fmt)
     cache = GraphCache(cache_dir=cache_dir)
     for src, schema in ((SRC_A, "schema2_opt"), (SRC_B, "schema1")):
         cp, _ = cache.lookup(src, schema=schema)
-        _as_v3_layout(cp)
+        _as_old_layout(cp, fmt)
         if cache_dir is not None:
             key = graph_key(src, CompileOptions(schema=schema))
             assert GraphCache._write_entry(cache._disk_path(key), cp)
     return cache
 
 
-def test_v3_cache_dir_is_a_cold_start(tmp_path, monkeypatch):
-    _v3_cache(monkeypatch, cache_dir=tmp_path)
+def _assert_old_cache_dir_is_cold(tmp_path, monkeypatch, fmt):
+    _old_cache(monkeypatch, fmt, cache_dir=tmp_path)
     monkeypatch.undo()
     assert len(list(tmp_path.rglob("*.pkl"))) == 2
 
@@ -223,31 +221,53 @@ def test_v3_cache_dir_is_a_cold_start(tmp_path, monkeypatch):
     assert simulate(cp).memory == run_ast(parse(SRC_A))
 
 
-def test_v3_snapshot_with_tier_state_is_a_cold_start(tmp_path, monkeypatch):
-    """A v3 snapshot — whose manifest still carries the retired tiering
-    controller's state — restores nothing and raises nothing; lookups
+def _assert_old_snapshot_is_cold(tmp_path, monkeypatch, fmt, state):
+    """An older-format snapshot, its manifest carrying ``state`` as that
+    format's manifests did, restores nothing and raises nothing; lookups
     then compile."""
-    cache = _v3_cache(monkeypatch)
-    tiers = {"tiers": {"v": 1, "graphs": {"k" * 64: {
-        "tier": "vectorized", "hits": 70, "hotness": 9.5}}}}
-    assert cache.snapshot(tmp_path, state=tiers) == 2
+    cache = _old_cache(monkeypatch, fmt)
+    assert cache.snapshot(tmp_path) == 2
     monkeypatch.undo()
-    manifest = json.loads((tmp_path / SNAPSHOT_MANIFEST).read_text())
-    assert manifest["format"] == V3 and "tiers" in manifest["state"]
+    path = tmp_path / SNAPSHOT_MANIFEST
+    manifest = json.loads(path.read_text())
+    assert manifest["format"] == fmt
+    manifest["state"] = state
+    path.write_text(json.dumps(manifest))
 
     fresh = GraphCache()
-    assert fresh.restore(tmp_path) == (0, {})
+    assert fresh.restore(tmp_path) == 0
     assert len(fresh) == 0
     cp, hit = fresh.lookup(SRC_A, schema="schema2_opt")
     assert not hit and fresh.stats.misses == 1
     assert simulate(cp).memory == run_ast(parse(SRC_A))
 
 
-def test_v4_snapshot_restores_warm(tmp_path):
-    assert cache_mod.CACHE_FORMAT == "repro-graph-cache-v4"
+def test_v3_cache_dir_is_a_cold_start(tmp_path, monkeypatch):
+    _assert_old_cache_dir_is_cold(tmp_path, monkeypatch, V3)
+
+
+def test_v3_snapshot_with_tier_state_is_a_cold_start(tmp_path, monkeypatch):
+    """A v3 manifest still carries the retired tiering controller's
+    state."""
+    tiers = {"tiers": {"v": 1, "graphs": {"k" * 64: {
+        "tier": "vectorized", "hits": 70, "hotness": 9.5}}}}
+    _assert_old_snapshot_is_cold(tmp_path, monkeypatch, V3, tiers)
+
+
+def test_v4_cache_dir_is_a_cold_start(tmp_path, monkeypatch):
+    _assert_old_cache_dir_is_cold(tmp_path, monkeypatch, V4)
+
+
+def test_v4_snapshot_is_a_cold_start(tmp_path, monkeypatch):
+    """A v4 manifest carries an empty ``state`` next to its keys."""
+    _assert_old_snapshot_is_cold(tmp_path, monkeypatch, V4, {})
+
+
+def test_v5_snapshot_restores_warm(tmp_path):
+    assert cache_mod.CACHE_FORMAT == "repro-graph-cache-v5"
     _warm_cache().snapshot(tmp_path)
     fresh = GraphCache()
-    assert fresh.restore(tmp_path) == (2, {})
+    assert fresh.restore(tmp_path) == 2
     cp, hit = fresh.lookup(SRC_B, schema="schema1")
     assert hit and fresh.stats.misses == 0
     assert simulate(cp).memory == run_ast(parse(SRC_B))

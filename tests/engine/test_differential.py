@@ -62,11 +62,11 @@ def test_auto_mode_picks_fast_only_when_exact(wl):
     cp = _CACHE.get_or_compile(wl.source, schema="memory_elim")
     inputs = wl.inputs[0]
     auto = simulate(cp, inputs)
-    assert auto.backend == "packed" and auto.fast_path  # idealized machine
+    assert auto.backend == "packed"  # idealized machine
     finite = simulate(cp, inputs, MachineConfig(num_pes=2))
-    assert not finite.fast_path  # PE arbitration forces per-cycle stepping
+    assert finite.backend == "step"  # PE arbitration forces stepping
     bounded = simulate(cp, inputs, MachineConfig(loop_bound=1))
-    assert not bounded.fast_path  # k-bounding forces per-cycle stepping
+    assert bounded.backend == "step"  # k-bounding forces stepping
     ref = simulate(cp, inputs, MachineConfig(sim_mode="step"))
     assert finite.memory == bounded.memory == ref.memory
 

@@ -1,10 +1,8 @@
 """Region memoization through the graph cache: incremental
-invalidation, byte-accounted LRU eviction, the peek/insert surface, and
-the pooled cold-region fan-out."""
+invalidation, the count-bounded LRU, the peek/insert surface, and the
+pooled cold-region fan-out."""
 
 import dataclasses
-
-import pytest
 
 from repro.dfg.stats import graph_stats
 from repro.engine import GraphCache, make_pool
@@ -231,8 +229,9 @@ def test_insert_round_trip(tmp_path):
     cache = GraphCache(cache_dir=tmp_path)
     opts = CompileOptions(schema="schema1")
     cp = compile_program(SRC, options=opts)
-    cache.insert(SRC, opts, cp)
-    assert cache.peek(SRC, opts) is cp
+    stored = cache.insert(SRC, opts, cp)
+    assert stored.cfg is None and stored.graph is cp.graph  # slimmed
+    assert cache.peek(SRC, opts) is stored
     # and the disk tier got it: a cold cache reads it back
     other = GraphCache(cache_dir=tmp_path)
     assert other.peek(SRC, opts) is not None
@@ -240,85 +239,15 @@ def test_insert_round_trip(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# byte-accounted LRU
-
-
-def _fake_entry(nbytes: int):
-    class FakeCP:
-        def __init__(self, n):
-            self._blob = b"x" * n
-
-        def packed_blob(self):
-            return self._blob
-
-        def ensure_packed(self):
-            return None
-
-    return FakeCP(nbytes)
-
-
-def _fill(cache, name, nbytes):
-    cache.insert(name, CompileOptions(schema="schema1"), _fake_entry(nbytes))
-
-
-def test_capacity_bytes_validation():
-    with pytest.raises(ValueError):
-        GraphCache(capacity_bytes=0)
-    assert GraphCache(capacity_bytes=1).total_bytes == 0
-
-
-def test_byte_lru_evicts_oldest_first():
-    cache = GraphCache(capacity_bytes=250)
-    _fill(cache, "a", 100)
-    _fill(cache, "b", 100)
-    assert cache.total_bytes == 200 and len(cache) == 2
-    # touch "a" so "b" sits at the LRU end
-    opts = CompileOptions(schema="schema1")
-    assert cache.peek("a", opts) is not None
-    _fill(cache, "c", 100)  # 300 bytes > 250: evict "b", not "a"
-    assert len(cache) == 2 and cache.total_bytes == 200
-    assert cache.peek("a", opts) is not None
-    assert cache.peek("c", opts) is not None
-    assert cache.peek("b", opts) is None
-    assert cache.stats.evictions == 1
-
-
-def test_byte_lru_keeps_at_least_one_entry():
-    """An entry bigger than the whole budget still caches (evicting
-    everything else): the cache never thrashes itself empty."""
-    cache = GraphCache(capacity_bytes=100)
-    _fill(cache, "small", 10)
-    _fill(cache, "giant", 10_000)
-    assert len(cache) == 1
-    assert cache.peek("giant", CompileOptions(schema="schema1")) is not None
-    assert cache.total_bytes == 10_000
-
-
-def test_byte_lru_many_small_after_giant():
-    """A stream of small region entries gradually evicts the giant one
-    once it ages to the LRU end."""
-    cache = GraphCache(capacity_bytes=500)
-    _fill(cache, "giant", 450)
-    for i in range(8):
-        _fill(cache, f"r{i}", 50)
-    opts = CompileOptions(schema="schema1")
-    assert cache.peek("giant", opts) is None  # evicted by the small wave
-    assert cache.total_bytes <= 500
-    assert len(cache) >= 2
-
-
-def test_byte_accounting_on_reinsert_and_clear():
-    cache = GraphCache(capacity_bytes=1000)
-    _fill(cache, "a", 100)
-    _fill(cache, "a", 300)  # re-insert under the same key: no double count
-    assert cache.total_bytes == 300 and len(cache) == 1
-    cache.clear()
-    assert cache.total_bytes == 0 and len(cache) == 0
+# LRU bound
 
 
 def test_count_capacity_still_applies():
-    cache = GraphCache(capacity=2, capacity_bytes=10_000)
+    cache = GraphCache(capacity=2)
+    opts = CompileOptions(schema="schema1")
+    cp = compile_program(SRC, options=opts)
     for name in ("a", "b", "c"):
-        _fill(cache, name, 10)
+        cache.insert(name, opts, cp)
     assert len(cache) == 2
-    assert cache.peek("a", CompileOptions(schema="schema1")) is None
+    assert cache.peek("a", opts) is None
+    assert cache.stats.evictions == 1

@@ -104,7 +104,7 @@ def test_differential_bit_identical_through_fleet(
         assert s.result.memory == d.result.memory
         assert s.result.end_values == d.result.end_values
         assert s.result.metrics == d.result.metrics  # ops/cycles/profile
-        assert s.result.fast_path == d.result.fast_path
+        assert s.result.backend == d.result.backend
         assert s.stats == d.stats
 
 

@@ -81,7 +81,7 @@ def test_payload_pickles_smaller_than_compiled_program():
     wl = workload("matmul")
     cp = compile_program(wl.source, schema="schema3_opt")
     full = pickle.dumps(cp, protocol=pickle.HIGHEST_PROTOCOL)
-    payload = cp.packed_program()
+    payload = cp.ensure_packed()
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     assert len(blob) < len(full) / 2
 
@@ -131,7 +131,7 @@ def test_stray_port_boundary_port_equal_to_nin():
 def test_packed_simulator_rejects_stateful_configs():
     cp = compile_program(RUNNING_EXAMPLE.source, schema="memory_elim")
     pg = pack_graph(cp.graph)
-    mem, ist = cp.memories({})
+    mem, ist = cp.memory_spec.image({})
     with pytest.raises(ValueError, match="num_pes"):
         PackedSimulator(pg, mem, ist, MachineConfig(num_pes=2))
     with pytest.raises(ValueError, match="loop_bound"):

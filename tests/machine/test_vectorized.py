@@ -58,7 +58,7 @@ def test_plans_replay_csr_rows_exactly(wl, schema):
     g = cp.graph
     pg = pack_graph(g)
     cfg = MachineConfig(alu_latency=2, memory_latency=5)
-    mem, ist = cp.memories({})
+    mem, ist = cp.memory_spec.image({})
     sim = PackedSimulator(pg, mem, ist, cfg)
 
     index_of = {nid: i for i, nid in enumerate(pg.node_ids)}

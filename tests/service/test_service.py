@@ -83,7 +83,7 @@ def test_differential_bit_identical(tmp_path, max_batch, max_wait_ms):
         assert s.result.memory == d.result.memory
         assert s.result.end_values == d.result.end_values
         assert s.result.metrics == d.result.metrics  # ops/cycles/profile
-        assert s.result.fast_path == d.result.fast_path
+        assert s.result.backend == d.result.backend
         assert s.stats == d.stats
 
 
@@ -302,7 +302,7 @@ def test_per_job_options_and_inputs_respected():
                 SRC, options=CompileOptions(schema="memory_elim"),
                 config=MachineConfig(num_pes=1, seed=1), name="narrow",
             ))
-            assert narrow.ok and not narrow.result.fast_path
+            assert narrow.ok and narrow.result.backend == "step"
 
 
 def test_ephemeral_socket_fallback_allocates_private_dir(monkeypatch):

@@ -1,0 +1,118 @@
+"""The run-ready form of a compiled program.
+
+A compiled graph may be changed only until its first run: the first
+idealized run lowers it (``CompiledProgram.ensure_packed``), the
+lowering is the one place the graph is validated, and every later run
+executes that memoized executable.  ``step`` runs read the object graph
+and the memory spec, and never lower.
+"""
+
+import dataclasses
+import pickle
+import sys
+import types
+
+import pytest
+
+import repro.engine.batch as batch_mod
+from repro.bench.programs import RUNNING_EXAMPLE, workload
+from repro.dfg.graph import DFGError, DFGraph
+from repro.dfg.nodes import OpKind, Seed
+from repro.engine import BatchJob, GraphCache, run_batch
+from repro.lang.ast_nodes import Program
+from repro.machine import MachineConfig, simulate_graph
+from repro.translate import CompileOptions, compile_program, simulate
+
+STEP = MachineConfig(sim_mode="step")
+
+
+def _dangling_graph() -> DFGraph:
+    """START -> BINOP -> END with the BINOP's second input unwired."""
+    g = DFGraph()
+    start = g.add(OpKind.START, seeds=(Seed("access", "a"),))
+    end = g.add(OpKind.END, returns=(None,))
+    add = g.add(OpKind.BINOP, op="+")
+    g.connect((start.id, 0), add.id, 0)
+    g.connect((add.id, 0), end.id, 0)
+    return g
+
+
+def test_idealized_runs_validate_once_in_the_lowering(monkeypatch):
+    cp = compile_program(RUNNING_EXAMPLE.source, schema="schema2_opt")
+    callers = []
+    real = DFGraph.validate
+
+    def counting(self, *args, **kwargs):
+        callers.append((self, sys._getframe(1).f_code.co_name))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DFGraph, "validate", counting)
+    runs = [simulate(cp) for _ in range(5)]
+    assert callers == [(cp.graph, "pack_graph")]
+    assert {r.backend for r in runs} == {"packed"}
+    assert len({repr(r.memory) for r in runs}) == 1
+
+
+def test_unconnected_input_port_raises_on_first_run():
+    with pytest.raises(DFGError) as via_graph:
+        simulate_graph(_dangling_graph())
+    assert "input port 1 of node 2" in str(via_graph.value)
+    with pytest.raises(DFGError) as via_step_graph:
+        simulate_graph(_dangling_graph(), config=STEP)
+    assert str(via_step_graph.value) == str(via_graph.value)
+
+    cp = compile_program("a := 1;", schema="schema2_opt")
+    cp = dataclasses.replace(
+        cp, translation=dataclasses.replace(
+            cp.translation, graph=_dangling_graph()
+        ),
+    )
+    for config in (None, None, STEP):  # a failed lowering is not memoized
+        with pytest.raises(DFGError) as via_program:
+            simulate(cp, None, config)
+        assert str(via_program.value) == str(via_graph.value)
+    assert cp.executable is None
+
+
+def test_step_runs_leave_the_executable_memo_empty(monkeypatch):
+    wl = workload("matmul")
+    cp = compile_program(wl.source, schema="memory_elim")
+    inputs = dict(wl.inputs[0])
+
+    def no_ast_walk(self):
+        raise AssertionError("a run walked the AST's variable list")
+
+    monkeypatch.setattr(Program, "variables", no_ast_walk)
+    step = simulate(cp, inputs, STEP)
+    assert step.backend == "step"
+    assert cp.executable is None
+    packed = simulate(cp, inputs)
+    assert packed.memory == step.memory
+    # the executable carries the compiled program's own memory spec
+    assert cp.executable.memory is cp.memory_spec
+
+
+def test_pooled_batch_pickles_each_executable_once(monkeypatch):
+    dumped = []
+
+    def dumps(obj, protocol):
+        dumped.append(obj)
+        return pickle.dumps(obj, protocol)
+
+    monkeypatch.setattr(batch_mod, "pickle", types.SimpleNamespace(
+        dumps=dumps, loads=pickle.loads,
+        HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+    ))
+    sources = ("x := 1;\ny := x + 2;\n", "x := 3;\ny := x * x;\n")
+    jobs = [
+        BatchJob(src, CompileOptions(schema="schema2_opt"), {"x": i})
+        for i in range(3) for src in sources
+    ]
+    cache = GraphCache()
+    results = run_batch(jobs, pool_size=2, cache=cache)
+    assert all(r.ok for r in results), [r.error for r in results]
+    assert len(dumped) == 2
+    assert {id(exe) for exe in dumped} == {
+        id(cache.get_or_compile(src, schema="schema2_opt").executable)
+        for src in sources
+    }
