@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 
 class DFGError(Exception):
@@ -48,6 +50,58 @@ class OpKind(enum.Enum):
 #   LOOP_EXIT   i0..i(n-1) channels                o0..o(n-1) channels
 #   START       (none)                             o0..o(n-1), seeded
 #   END         i0..i(n-1), per `returns`          (none)
+
+
+class Ports(NamedTuple):
+    """One kind's row of :data:`PORTS`."""
+
+    #: dense integer opcode: the kind's position in :class:`OpKind`
+    opcode: int
+    #: input and output port counts: an int, or a function of the node
+    #: for the kinds whose arity is a payload field
+    nin: int | Callable[[DFNode], int]
+    nout: int | Callable[[DFNode], int]
+    #: firing rule; a strict node with exactly one input port fires per
+    #: token, so the machine matches it without a frame (DC_SINGLE)
+    delivery: int
+    #: touches the updatable store (split-phase)
+    memory: bool
+
+
+# firing rules (delivery classes), in the reference simulator's priority
+# order
+DC_END = 0  # END: record the arriving value
+DC_NONSTRICT = 1  # fire per token
+DC_SINGLE = 2  # one input port: fire per token, no frame
+DC_STRICT = 3  # match all inputs at a frame slot
+
+
+_nports = attrgetter("nports")
+_channels = attrgetter("nchannels")
+
+#: The port conventions above as one table: every reader of a kind's
+#: arity, firing rule or memory flag (num_inputs/num_outputs, and through
+#: them DFGraph.connect and validate; the machine's lowering) reads it.
+PORTS: dict[OpKind, Ports] = {
+    OpKind.START: Ports(0, 0, lambda n: len(n.seeds), DC_STRICT, False),
+    OpKind.END: Ports(1, lambda n: len(n.returns), 0, DC_END, False),
+    OpKind.CONST: Ports(2, 1, 1, DC_STRICT, False),
+    OpKind.BINOP: Ports(3, 2, 1, DC_STRICT, False),
+    OpKind.UNOP: Ports(4, 1, 1, DC_STRICT, False),
+    OpKind.LOAD: Ports(5, 1, 2, DC_STRICT, True),
+    OpKind.STORE: Ports(6, 2, 1, DC_STRICT, True),
+    OpKind.ALOAD: Ports(7, 2, 2, DC_STRICT, True),
+    OpKind.ASTORE: Ports(8, 3, 1, DC_STRICT, True),
+    OpKind.ILOAD: Ports(9, 1, 1, DC_STRICT, True),
+    OpKind.ISTORE: Ports(10, 2, 1, DC_STRICT, True),
+    OpKind.SWITCH: Ports(11, 2, 2, DC_STRICT, False),
+    OpKind.MERGE: Ports(12, _nports, 1, DC_NONSTRICT, False),
+    OpKind.SYNCH: Ports(13, _nports, 1, DC_STRICT, False),
+    OpKind.LOOP_ENTRY: Ports(
+        14, lambda n: 2 * n.nchannels, _channels, DC_NONSTRICT, False
+    ),
+    OpKind.LOOP_EXIT: Ports(15, _channels, _channels, DC_NONSTRICT, False),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,73 +179,14 @@ class DFNode:
 
 
 def num_inputs(node: DFNode) -> int:
-    k = node.kind
-    if k is OpKind.START:
-        return 0
-    if k is OpKind.END:
-        return len(node.returns)
-    if k is OpKind.CONST:
-        return 1
-    if k is OpKind.BINOP:
-        return 2
-    if k is OpKind.UNOP:
-        return 1
-    if k is OpKind.LOAD:
-        return 1
-    if k is OpKind.STORE:
-        return 2
-    if k is OpKind.ALOAD:
-        return 2
-    if k is OpKind.ASTORE:
-        return 3
-    if k is OpKind.ILOAD:
-        return 1
-    if k is OpKind.ISTORE:
-        return 2
-    if k is OpKind.SWITCH:
-        return 2
-    if k in (OpKind.MERGE, OpKind.SYNCH):
-        return node.nports
-    if k is OpKind.LOOP_ENTRY:
-        return 2 * node.nchannels
-    if k is OpKind.LOOP_EXIT:
-        return node.nchannels
-    raise DFGError(f"unknown kind {k}")
+    n = PORTS[node.kind].nin
+    return n if type(n) is int else n(node)
 
 
 def num_outputs(node: DFNode) -> int:
-    k = node.kind
-    if k is OpKind.START:
-        return len(node.seeds)
-    if k is OpKind.END:
-        return 0
-    if k in (OpKind.CONST, OpKind.BINOP, OpKind.UNOP):
-        return 1
-    if k is OpKind.LOAD:
-        return 2
-    if k is OpKind.STORE:
-        return 1
-    if k is OpKind.ALOAD:
-        return 2
-    if k is OpKind.ASTORE:
-        return 1
-    if k is OpKind.ILOAD:
-        return 1
-    if k is OpKind.ISTORE:
-        return 1
-    if k is OpKind.SWITCH:
-        return 2
-    if k in (OpKind.MERGE, OpKind.SYNCH):
-        return 1
-    if k in (OpKind.LOOP_ENTRY, OpKind.LOOP_EXIT):
-        return node.nchannels
-    raise DFGError(f"unknown kind {k}")
+    n = PORTS[node.kind].nout
+    return n if type(n) is int else n(node)
 
-
-#: Kinds that fire per arriving token rather than matching all inputs.
-NONSTRICT = frozenset({OpKind.MERGE})
 
 #: Kinds that touch the updatable store (split-phase).
-MEMORY_KINDS = frozenset(
-    {OpKind.LOAD, OpKind.STORE, OpKind.ALOAD, OpKind.ASTORE, OpKind.ILOAD, OpKind.ISTORE}
-)
+MEMORY_KINDS = frozenset(k for k, row in PORTS.items() if row.memory)

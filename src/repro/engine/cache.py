@@ -51,8 +51,9 @@ from ..translate.pipeline import CompiledProgram, CompileOptions, compile_progra
 #: region_stitch certificate — share the store with monolithic ones;
 #: v4: PackedGraph stores per-port fan-out tuples instead of CSR arrays;
 #: v5: entries are slim and carry one executable memo, a PackedProgram,
-#: plus the memory spec)
-CACHE_FORMAT = "repro-graph-cache-v5"
+#: plus the memory spec;
+#: v6: PackedGraph drops its per-node describe strings for the loop ids)
+CACHE_FORMAT = "repro-graph-cache-v6"
 
 #: commit-point file of a cache snapshot directory (written atomically
 #: *after* every entry, so a snapshot is either complete or invisible)

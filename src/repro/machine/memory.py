@@ -128,14 +128,17 @@ class MemorySpec:
     def image(
         self, inputs: dict[str, int] | None = None
     ) -> tuple[DataMemory, IStructureMemory]:
-        """A fresh memory image: ``inputs`` name scalars (array names
-        among them are ignored)."""
+        """A fresh memory image: ``inputs`` name scalars.  An input that
+        names an array raises :class:`MemoryFault`, as
+        :meth:`DataMemory.for_program` does for the reference
+        interpreters."""
         inputs = inputs or {}
         array_names = {name for name, _ in self.arrays}
         array_names.update(name for name, _ in self.istruct_arrays)
         scalars = {v: inputs.get(v, 0) for v in self.scalars}
-        scalars.update(
-            {k: v for k, v in inputs.items() if k not in array_names}
-        )
+        for name, value in inputs.items():
+            if name in array_names:
+                raise MemoryFault(f"{name!r} is an array, not a scalar input")
+            scalars[name] = value
         mem = DataMemory(scalars=scalars, arrays=dict(self.arrays))
         return mem, IStructureMemory(dict(self.istruct_arrays))

@@ -3,10 +3,11 @@
 The reference :class:`~repro.machine.simulator.Simulator` walks the
 object-graph :class:`~repro.dfg.graph.DFGraph` — per-token ``dict``
 lookups, ``OpKind`` enum chains, and tuple-of-dataclass ``Context`` tags
-whose hashes are recomputed on every frame probe.  This module compiles a
-validated graph **once** into a :class:`PackedGraph` — struct-of-arrays
-form (integer opcodes, arity and latency tables, per-port fan-out tuples)
-— and executes it with :class:`PackedSimulator`, whose inner loop:
+whose hashes are recomputed on every frame probe.  This module lowers a
+graph **once**, checking it in the same pass, into a :class:`PackedGraph`
+— struct-of-arrays form (integer opcodes, arity and latency tables,
+per-port fan-out tuples) — and executes it with :class:`PackedSimulator`,
+whose inner loop:
 
 * addresses waiting-matching frame slots by a single integer key
   ``ctx_id * n_nodes + node_index`` into one flat dict (the paper's O(1)
@@ -17,7 +18,10 @@ form (integer opcodes, arity and latency tables, per-port fan-out tuples)
   never hashes a context chain;
 * inlines delivery, matching, and firing into one dispatch loop with
   pre-resolved operator callables, folding per-firing metric updates into
-  per-batch counters.
+  per-batch counters;
+* queues tokens as per-cycle fronts: one bucket per due time holding one
+  ``(arcs, value, ctx)`` record per fired output port, so a firing costs
+  one append however wide its fan-out.
 
 The loop is event-driven: every enabled activity fires the cycle it
 becomes enabled and the clock jumps straight between event times.  Its
@@ -44,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..dfg.graph import DFGraph
-from ..dfg.nodes import MEMORY_KINDS, OpKind, num_inputs, num_outputs
+from ..dfg.nodes import DC_SINGLE, DC_STRICT, PORTS
 from ..semantics import BINOP_FUNCS, UNOP_FUNCS
 from .config import MachineConfig
 from .context import ACCESS, ROOT, Context
@@ -59,7 +63,8 @@ from .memory import DataMemory, MemorySpec
 from .metrics import Metrics
 from .simulator import SimResult
 
-# integer opcodes — dense, so per-opcode counters are plain list cells
+# integer opcodes (``PORTS[kind].opcode``) — dense, so per-opcode counters
+# are plain list cells
 OP_START = 0
 OP_END = 1
 OP_CONST = 2
@@ -78,38 +83,14 @@ OP_LOOP_ENTRY = 14
 OP_LOOP_EXIT = 15
 N_OPCODES = 16
 
-_OPCODE_OF = {
-    OpKind.START: OP_START,
-    OpKind.END: OP_END,
-    OpKind.CONST: OP_CONST,
-    OpKind.BINOP: OP_BINOP,
-    OpKind.UNOP: OP_UNOP,
-    OpKind.LOAD: OP_LOAD,
-    OpKind.STORE: OP_STORE,
-    OpKind.ALOAD: OP_ALOAD,
-    OpKind.ASTORE: OP_ASTORE,
-    OpKind.ILOAD: OP_ILOAD,
-    OpKind.ISTORE: OP_ISTORE,
-    OpKind.SWITCH: OP_SWITCH,
-    OpKind.MERGE: OP_MERGE,
-    OpKind.SYNCH: OP_SYNCH,
-    OpKind.LOOP_ENTRY: OP_LOOP_ENTRY,
-    OpKind.LOOP_EXIT: OP_LOOP_EXIT,
-}
-
 #: opcode -> OpKind.value, for folding per-opcode counters into by_kind
+#: and for rebuilding describe text
 OPCODE_KIND_VALUE = tuple(
     kind.value
-    for kind, _ in sorted(_OPCODE_OF.items(), key=lambda kv: kv[1])
+    for kind, _ in sorted(PORTS.items(), key=lambda kv: kv[1].opcode)
 )
 
-_MEM_OPCODES = frozenset(_OPCODE_OF[k] for k in MEMORY_KINDS)
-
-# delivery classes, checked in the reference simulator's priority order
-DC_END = 0
-DC_NONSTRICT = 1  # MERGE / LOOP_ENTRY / LOOP_EXIT: fire per token
-DC_SINGLE = 2  # one input port: fire per token, no frame
-DC_STRICT = 3  # match all inputs at a frame slot
+_MEM_OPCODES = frozenset(row.opcode for row in PORTS.values() if row.memory)
 
 #: sentinel for an empty frame slot (None is not usable: ACCESS/ints only,
 #: but a distinct object keeps the check a fast identity test)
@@ -123,6 +104,9 @@ class PackedGraph:
     Node indices are ``0..n-1`` in ascending original-node-id order;
     ``node_ids[i]`` maps back for error messages, traces, and clash
     reports (which must match the reference simulator byte for byte).
+    A node's describe text is not stored: :meth:`describe` rebuilds it
+    from the opcode, payload and arity, plus ``loop_ids`` for the one
+    piece those lack.
 
     Fan-out is stored the way the interpreter reads it: ``outs[i][p]``
     is the tuple of ``(dst index, dst port)`` consumers of node ``i``'s
@@ -141,7 +125,8 @@ class PackedGraph:
     #: per-node payload: CONST value, BINOP/UNOP op string, memory-op
     #: variable name, LOOP_* channel count, or None
     aux: tuple
-    describe: tuple[str, ...]
+    #: (index, loop id) of every LOOP_ENTRY/LOOP_EXIT node
+    loop_ids: tuple[tuple[int, int | None], ...]
     #: per node, per output port: ((dst index, dst port), ...)
     outs: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     # endpoints
@@ -149,6 +134,22 @@ class PackedGraph:
     end: int
     seeds: tuple[tuple[str, str], ...]
     returns: tuple[str | None, ...]
+
+    def describe(self, idx: int) -> str:
+        """Exactly :meth:`DFNode.describe` of node ``idx``."""
+        op = self.opcodes[idx]
+        kind = OPCODE_KIND_VALUE[op]
+        if op == OP_CONST:
+            return f"const {self.aux[idx]}"
+        if op == OP_BINOP or op == OP_UNOP:
+            return f"{self.aux[idx]}"
+        if self.is_mem[idx]:
+            return f"{kind} {self.aux[idx]}"
+        if op == OP_MERGE or op == OP_SYNCH:
+            return f"{kind}{self.nin[idx]}"
+        if op == OP_LOOP_ENTRY or op == OP_LOOP_EXIT:
+            return f"{kind} L{dict(self.loop_ids)[idx]}"
+        return kind
 
     def out_arcs(self, idx: int, port: int) -> list[tuple[int, int]]:
         """(dst index, dst port) consumers of one output port."""
@@ -159,54 +160,68 @@ class PackedGraph:
 
 
 def pack_graph(graph: DFGraph) -> PackedGraph:
-    """The lowering pass: validate, then flatten to struct-of-arrays.
+    """The lowering pass: one walk over the nodes that flattens the graph
+    to struct-of-arrays and checks it on the way.
 
     This is the one check a graph gets before it first runs on the
-    packed loop: the lowering is what runs from then on."""
-    graph.validate(allow_dangling_outputs=True)
-    order = sorted(graph.nodes)
+    packed loop.  It is :meth:`DFGraph.validate`'s (dangling outputs
+    allowed), made cheap: START and END exist, each node's input ports
+    are exactly ``0..nin-1``, and only START and END may have no input
+    port (a MERGE/SYNCH needs a port, a LOOP node a channel).  When a
+    check fails, ``validate`` itself runs, so the error is its own."""
+    nodes = graph.nodes
+    if graph.start == -1 or graph.end == -1:
+        graph.validate(allow_dangling_outputs=True)
+    order = sorted(nodes)
     index_of = {nid: i for i, nid in enumerate(order)}
+    ins_of = graph._in
+    outs_of = graph._out
 
     opcodes, nins, nouts, dcls, extra_lat, is_mem = [], [], [], [], [], []
-    aux, describe, outs = [], [], []
+    aux, loop_ids, outs = [], [], []
+    port_sets: dict[int, frozenset] = {}
 
-    for nid in order:
-        node = graph.nodes[nid]
-        kind = node.kind
-        opcodes.append(_OPCODE_OF[kind])
-        nin = num_inputs(node)
-        nout = num_outputs(node)
+    for i, nid in enumerate(order):
+        node = nodes[nid]
+        op, nin, nout, dcl, mem = PORTS[node.kind]
+        if type(nin) is not int:
+            nin = nin(node)
+        if type(nout) is not int:
+            nout = nout(node)
+        want = port_sets.get(nin)
+        if want is None:
+            want = port_sets[nin] = frozenset(range(nin))
+        if ins_of[nid].keys() != want or (nin < 1 and op > OP_END):
+            graph.validate(allow_dangling_outputs=True)
+        opcodes.append(op)
         nins.append(nin)
         nouts.append(nout)
-        if kind is OpKind.END:
-            dcls.append(DC_END)
-        elif kind in (OpKind.MERGE, OpKind.LOOP_ENTRY, OpKind.LOOP_EXIT):
-            dcls.append(DC_NONSTRICT)
-        elif nin == 1:
-            dcls.append(DC_SINGLE)
-        else:
-            dcls.append(DC_STRICT)
+        dcls.append(DC_SINGLE if dcl == DC_STRICT and nin == 1 else dcl)
         extra_lat.append(node.latency)
-        is_mem.append(kind in MEMORY_KINDS)
-        if kind is OpKind.CONST:
+        is_mem.append(mem)
+        if op == OP_CONST:
             aux.append(node.value)
-        elif kind in (OpKind.BINOP, OpKind.UNOP):
+        elif op == OP_BINOP or op == OP_UNOP:
             aux.append(node.op)
-        elif kind in MEMORY_KINDS:
+        elif mem:
             aux.append(node.var)
-        elif kind in (OpKind.LOOP_ENTRY, OpKind.LOOP_EXIT):
+        elif op == OP_LOOP_ENTRY or op == OP_LOOP_EXIT:
             aux.append(node.nchannels)
+            loop_ids.append((i, node.loop_id))
         else:
             aux.append(None)
-        describe.append(node.describe())
-        by_port = graph._out[nid]
-        outs.append(tuple(
-            tuple((index_of[a.dst], a.dst_port) for a in by_port.get(p, ()))
-            for p in range(nout)
-        ))
+        by_port = outs_of[nid]
+        row = []
+        for p in range(nout):
+            arcs = by_port.get(p)
+            row.append(
+                tuple([(index_of[d], dp) for _, _, d, dp, _ in arcs])
+                if arcs else ()
+            )
+        outs.append(tuple(row))
 
-    start_node = graph.node(graph.start)
-    end_node = graph.node(graph.end)
+    start_node = nodes[graph.start]
+    end_node = nodes[graph.end]
     return PackedGraph(
         n=len(order),
         node_ids=tuple(order),
@@ -217,7 +232,7 @@ def pack_graph(graph: DFGraph) -> PackedGraph:
         extra_lat=tuple(extra_lat),
         is_mem=tuple(is_mem),
         aux=tuple(aux),
-        describe=tuple(describe),
+        loop_ids=tuple(loop_ids),
         outs=tuple(outs),
         start=index_of[graph.start],
         end=index_of[graph.end],
@@ -250,6 +265,15 @@ class PackedSimulator:
 
     Exact observable twin of the reference :class:`Simulator` on the
     idealized machine; requires ``num_pes`` and ``loop_bound`` unset.
+
+    Its token queue is the reference heap's ``(time, seq)`` order kept as
+    per-time buckets: ``_buckets`` maps a due time to the records of the
+    output ports that fire into it, in push order (arcs in arc order
+    within a record), ``_times`` is a heap of the distinct due times, and
+    ``_n_tok`` counts the tokens in flight, which is what the in-flight
+    peak and the occupancy rows read.  Each firing looks up the bucket of
+    ``cycle + latency`` once; a bucket that received nothing is popped
+    and skipped without moving the clock.
     """
 
     def __init__(
@@ -293,8 +317,9 @@ class PackedSimulator:
         self._ctx_iter = [0]
         self._ctx_intern: dict[tuple[int, int, int], int] = {(-1, 0, 0): 0}
 
-        self._heap: list = []
-        self._seq = 0
+        self._buckets: dict[int, list] = {}
+        self._times: list[int] = []
+        self._n_tok = 0
         self._frames: dict[int, list] = {}
         self._extras: dict[tuple[int, int], deque] = {}
         self._enabled: list = []
@@ -344,14 +369,14 @@ class PackedSimulator:
         pg = self.pg
         raise MachineError(
             f"token delivered to nonexistent input port {port} of node "
-            f"{pg.node_ids[idx]} ({pg.describe[idx]}): node has "
+            f"{pg.node_ids[idx]} ({pg.describe(idx)}): node has "
             f"{pg.nin[idx]} input port(s)"
         )
 
     def _bad_value(self, idx: int, v) -> None:
         pg = self.pg
         raise MachineError(
-            f"operator {pg.node_ids[idx]} ({pg.describe[idx]}) received a "
+            f"operator {pg.node_ids[idx]} ({pg.describe(idx)}) received a "
             f"non-value token {v!r} on a value port"
         )
 
@@ -360,17 +385,15 @@ class PackedSimulator:
     def run(self) -> SimResult:
         t0 = time.perf_counter()
         pg = self.pg
-        heap = self._heap
-        # seed the START outputs, mirroring Simulator.run exactly
-        seq = 0
-        start_outs = self._rt[pg.start][2]
-        for port, (skind, slabel) in enumerate(pg.seeds):
+        # seed the START outputs at time 0, mirroring Simulator.run exactly
+        seeded = []
+        for (skind, slabel), arcs in zip(pg.seeds, pg.outs[pg.start]):
             value = ACCESS if skind == "access" else self.memory.read(slabel)
-            if port < len(start_outs):
-                for d, dp in start_outs[port]:
-                    seq += 1
-                    heapq.heappush(heap, (0, seq, d, dp, value, 0))
-        self._seq = seq
+            if arcs:
+                seeded.append((arcs, value, 0))
+                self._n_tok += len(arcs)
+        self._buckets[0] = seeded
+        self._times.append(0)
 
         try:
             self._loop()
@@ -400,9 +423,10 @@ class PackedSimulator:
         )
 
     def _loop(self) -> None:
-        """The inlined deliver/match/fire loop: deliver every token due
-        this cycle, then fire every enabled activity, then jump the clock
-        to the next event time."""
+        """The inlined deliver/match/fire loop: pop the next due time,
+        deliver its bucket, then fire every enabled activity, each
+        firing appending its output records to the bucket of
+        ``cycle + latency``."""
         cfg = self.config
         pg = self.pg
         N = pg.n
@@ -411,7 +435,8 @@ class PackedSimulator:
         node_ids = pg.node_ids
         describe = pg.describe
         rt = self._rt
-        heap = self._heap
+        buckets = self._buckets
+        times = self._times
         push = heapq.heappush
         pop = heapq.heappop
         frames = self._frames
@@ -439,7 +464,7 @@ class PackedSimulator:
         hook = self.profile_hook
         isinst = isinstance
 
-        seq = self._seq
+        n_tok = self._n_tok
         cyc = self._cycle
         m_ops = self._m_ops
         peak_tok = self._peak_tokens
@@ -449,97 +474,107 @@ class PackedSimulator:
 
         try:
             while True:
-                if not heap:
+                if not times:
                     # quiescent: deferred I-structure reads of elements no
                     # write can ever fill now read the default (0)
                     released = istructs.release_pending_with_default()
                     if not released:
                         break
+                    at = cyc + mem_lat
+                    bucket = buckets[at] = []
+                    push(times, at)
                     for (widx, wctx), value in released:
                         arcs = rt[widx][2][0]
                         if arcs:
-                            at = cyc + mem_lat
-                            for d, dp in arcs:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, value, wctx))
+                            bucket.append((arcs, value, wctx))
+                            n_tok += len(arcs)
+                t = pop(times)
+                bucket = buckets.pop(t)
+                if not bucket:
+                    # every firing that looked this bucket up pushed
+                    # nothing: no token is due, so the clock stays put
                     continue
-                t = heap[0][0]
                 if t > cyc:
                     cyc = t
-                n_tok = len(heap)
                 if n_tok > peak_tok:
                     peak_tok = n_tok
                     occ.append([cyc, n_tok, len(frames), len(enabled)])
                     if hook is not None:
                         hook(cyc, n_tok, len(frames), len(enabled))
-                while heap and heap[0][0] <= cyc:
-                    _, _, idx, port, value, ctx = pop(heap)
-                    cls = dcls[idx]
-                    if cls == 3:  # strict: match at the frame slot
-                        nin = nin_a[idx]
-                        if port >= nin:
-                            self._bad_port(idx, port)
-                        fk = ctx * N + idx
-                        frame = frames.get(fk)
-                        if frame is None:
-                            frame = frames[fk] = [0] + [EMPTY] * nin
-                        if frame[port + 1] is EMPTY:
-                            frame[port + 1] = value
-                            frame[0] += 1
-                        else:
-                            self._m_clashes += 1
-                            if not record_clash:
+                while times and times[0] <= cyc:
+                    # only a total latency below 1 leaves an earlier
+                    # time due
+                    bucket += buckets.pop(pop(times))
+                for arcs, value, ctx in bucket:
+                    n_tok -= len(arcs)
+                    for idx, port in arcs:
+                        cls = dcls[idx]
+                        if cls == 3:  # strict: match at the frame slot
+                            nin = nin_a[idx]
+                            if port >= nin:
+                                self._bad_port(idx, port)
+                            fk = ctx * N + idx
+                            frame = frames.get(fk)
+                            if frame is None:
+                                frame = frames[fk] = [0] + [EMPTY] * nin
+                            if frame[port + 1] is EMPTY:
+                                frame[port + 1] = value
+                                frame[0] += 1
+                            else:
+                                self._m_clashes += 1
+                                if not record_clash:
+                                    raise TokenClashError(
+                                        node_ids[idx], port,
+                                        self._ctx_obj(ctx), describe(idx),
+                                    )
+                                clashes_list.append(
+                                    (node_ids[idx], port, self._ctx_repr(ctx))
+                                )
+                                q = extras.get((fk, port))
+                                if q is None:
+                                    q = extras[(fk, port)] = deque()
+                                q.append(value)
+                            if frame[0] == nin:
+                                inputs = frame[1:]
+                                if extras:
+                                    cnt = 0
+                                    for p in range(nin):
+                                        q = extras.get((fk, p))
+                                        if q:
+                                            frame[p + 1] = q.popleft()
+                                            if not q:
+                                                del extras[(fk, p)]
+                                            cnt += 1
+                                        else:
+                                            frame[p + 1] = EMPTY
+                                    frame[0] = cnt
+                                    if cnt == 0:
+                                        del frames[fk]
+                                else:
+                                    del frames[fk]
+                                enabled.append((idx, ctx, inputs))
+                        elif cls == 2:  # single input: fire per token
+                            if port:
+                                self._bad_port(idx, port)
+                            enabled.append((idx, ctx, (value,)))
+                        elif cls == 1:  # nonstrict: merge / loop entry / exit
+                            if port >= nin_a[idx]:
+                                self._bad_port(idx, port)
+                            enabled.append((idx, ctx, port, value))
+                        else:  # END
+                            if port >= n_returns:
+                                self._bad_port(idx, port)
+                            if ctx != 0:
+                                raise MachineError(
+                                    "token reached END in non-root context "
+                                    f"{self._ctx_repr(ctx)}"
+                                )
+                            if port in end_arrivals:
                                 raise TokenClashError(
                                     node_ids[idx], port, self._ctx_obj(ctx),
-                                    describe[idx],
+                                    "end",
                                 )
-                            clashes_list.append(
-                                (node_ids[idx], port, self._ctx_repr(ctx))
-                            )
-                            q = extras.get((fk, port))
-                            if q is None:
-                                q = extras[(fk, port)] = deque()
-                            q.append(value)
-                        if frame[0] == nin:
-                            inputs = frame[1:]
-                            if extras:
-                                cnt = 0
-                                for p in range(nin):
-                                    q = extras.get((fk, p))
-                                    if q:
-                                        frame[p + 1] = q.popleft()
-                                        if not q:
-                                            del extras[(fk, p)]
-                                        cnt += 1
-                                    else:
-                                        frame[p + 1] = EMPTY
-                                frame[0] = cnt
-                                if cnt == 0:
-                                    del frames[fk]
-                            else:
-                                del frames[fk]
-                            enabled.append((idx, ctx, inputs))
-                    elif cls == 2:  # single input: fire per token
-                        if port:
-                            self._bad_port(idx, port)
-                        enabled.append((idx, ctx, (value,)))
-                    elif cls == 1:  # nonstrict: merge / loop entry / exit
-                        if port >= nin_a[idx]:
-                            self._bad_port(idx, port)
-                        enabled.append((idx, ctx, port, value))
-                    else:  # END
-                        if port >= n_returns:
-                            self._bad_port(idx, port)
-                        if ctx != 0:
-                            raise MachineError(
-                                "token reached END in non-root context "
-                                f"{self._ctx_repr(ctx)}"
-                            )
-                        if port in end_arrivals:
-                            raise TokenClashError(
-                                node_ids[idx], port, self._ctx_obj(ctx), "end"
-                            )
-                        end_arrivals[port] = value
+                            end_arrivals[port] = value
                 nf = len(frames)
                 if nf > peak_frames:
                     peak_frames = nf
@@ -555,9 +590,14 @@ class PackedSimulator:
                     kc[op] += 1
                     if trace_on:
                         trace_list.append(
-                            (cyc, node_ids[idx], describe[idx],
+                            (cyc, node_ids[idx], describe(idx),
                              self._ctx_repr(ctx))
                         )
+                    at = cyc + lat
+                    bucket = buckets.get(at)
+                    if bucket is None:
+                        bucket = buckets[at] = []
+                        push(times, at)
                     if op == 11:  # SWITCH
                         ins = act[2]
                         c = ins[1]
@@ -565,19 +605,13 @@ class PackedSimulator:
                             self._bad_value(idx, c)
                         arcs = outs[0 if c != 0 else 1]
                         if arcs:
-                            v = ins[0]
-                            at = cyc + lat
-                            for d, dp in arcs:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, v, ctx))
+                            bucket.append((arcs, ins[0], ctx))
+                            n_tok += len(arcs)
                     elif op == 12:  # MERGE
                         arcs = outs[0]
                         if arcs:
-                            v = act[3]
-                            at = cyc + lat
-                            for d, dp in arcs:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, v, ctx))
+                            bucket.append((arcs, act[3], ctx))
+                            n_tok += len(arcs)
                     elif op == 3:  # BINOP
                         ins = act[2]
                         a = ins[0]
@@ -589,45 +623,33 @@ class PackedSimulator:
                         v = aux(a, b)
                         arcs = outs[0]
                         if arcs:
-                            at = cyc + lat
-                            for d, dp in arcs:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, v, ctx))
+                            bucket.append((arcs, v, ctx))
+                            n_tok += len(arcs)
                     elif op == 13:  # SYNCH
                         arcs = outs[0]
                         if arcs:
-                            at = cyc + lat
-                            for d, dp in arcs:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, ACCESS, ctx))
+                            bucket.append((arcs, ACCESS, ctx))
+                            n_tok += len(arcs)
                     elif op == 2:  # CONST
                         arcs = outs[0]
                         if arcs:
-                            at = cyc + lat
-                            for d, dp in arcs:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, aux, ctx))
+                            bucket.append((arcs, aux, ctx))
+                            n_tok += len(arcs)
                     elif op == 14:  # LOOP_ENTRY
                         port = act[2]
-                        value = act[3]
                         if port < aux:  # external entry: join the activation
                             akey = ctx * N + idx
-                            base = activations.get(akey)
-                            if base is None:
+                            nc = activations.get(akey)
+                            if nc is None:
                                 na = self._next_activation
                                 self._next_activation = na + 1
-                                base = len(cpar)
-                                cintern[(ctx, na, 0)] = base
+                                nc = len(cpar)
+                                cintern[(ctx, na, 0)] = nc
                                 cpar.append(ctx)
                                 cact.append(na)
                                 cit.append(0)
-                                activations[akey] = base
+                                activations[akey] = nc
                             arcs = outs[port]
-                            if arcs:
-                                at = cyc + lat
-                                for d, dp in arcs:
-                                    seq += 1
-                                    push(heap, (at, seq, d, dp, value, base))
                         else:  # backedge: advance the iteration tag
                             key = (cpar[ctx], cact[ctx], cit[ctx] + 1)
                             nc = cintern.get(key)
@@ -638,56 +660,46 @@ class PackedSimulator:
                                 cact.append(key[1])
                                 cit.append(key[2])
                             arcs = outs[port - aux]
-                            if arcs:
-                                at = cyc + lat
-                                for d, dp in arcs:
-                                    seq += 1
-                                    push(heap, (at, seq, d, dp, value, nc))
+                        if arcs:
+                            bucket.append((arcs, act[3], nc))
+                            n_tok += len(arcs)
                     elif op == 15:  # LOOP_EXIT
-                        port = act[2]
-                        value = act[3]
                         parent = cpar[ctx]
                         if parent < 0:
                             raise MachineError(
                                 f"LOOP_EXIT {node_ids[idx]} fired in root "
                                 "context"
                             )
-                        arcs = outs[port]
+                        arcs = outs[act[2]]
                         if arcs:
-                            at = cyc + lat
-                            for d, dp in arcs:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, value, parent))
+                            bucket.append((arcs, act[3], parent))
+                            n_tok += len(arcs)
                     elif op == 5:  # LOAD
                         v = memory.read(aux)
-                        at = cyc + lat
-                        for d, dp in outs[0]:
-                            seq += 1
-                            push(heap, (at, seq, d, dp, v, ctx))
-                        for d, dp in outs[1]:
-                            seq += 1
-                            push(heap, (at, seq, d, dp, ACCESS, ctx))
+                        for arcs in outs:  # o0 value, o1 access
+                            if arcs:
+                                bucket.append((arcs, v, ctx))
+                                n_tok += len(arcs)
+                            v = ACCESS
                     elif op == 6:  # STORE
                         v = act[2][0]
                         if v is ACCESS or not isinst(v, int):
                             self._bad_value(idx, v)
                         memory.write(aux, v)
-                        at = cyc + lat
-                        for d, dp in outs[0]:
-                            seq += 1
-                            push(heap, (at, seq, d, dp, ACCESS, ctx))
+                        arcs = outs[0]
+                        if arcs:
+                            bucket.append((arcs, ACCESS, ctx))
+                            n_tok += len(arcs)
                     elif op == 7:  # ALOAD
                         i0 = act[2][0]
                         if i0 is ACCESS or not isinst(i0, int):
                             self._bad_value(idx, i0)
                         v = memory.aread(aux, i0)
-                        at = cyc + lat
-                        for d, dp in outs[0]:
-                            seq += 1
-                            push(heap, (at, seq, d, dp, v, ctx))
-                        for d, dp in outs[1]:
-                            seq += 1
-                            push(heap, (at, seq, d, dp, ACCESS, ctx))
+                        for arcs in outs:  # o0 value, o1 access
+                            if arcs:
+                                bucket.append((arcs, v, ctx))
+                                n_tok += len(arcs)
+                            v = ACCESS
                     elif op == 8:  # ASTORE
                         ins = act[2]
                         i0 = ins[0]
@@ -697,20 +709,19 @@ class PackedSimulator:
                         if v is ACCESS or not isinst(v, int):
                             self._bad_value(idx, v)
                         memory.awrite(aux, i0, v)
-                        at = cyc + lat
-                        for d, dp in outs[0]:
-                            seq += 1
-                            push(heap, (at, seq, d, dp, ACCESS, ctx))
+                        arcs = outs[0]
+                        if arcs:
+                            bucket.append((arcs, ACCESS, ctx))
+                            n_tok += len(arcs)
                     elif op == 9:  # ILOAD
                         i0 = act[2][0]
                         if i0 is ACCESS or not isinst(i0, int):
                             self._bad_value(idx, i0)
                         ok, v = istructs.read(aux, i0, (idx, ctx))
-                        if ok:
-                            at = cyc + lat
-                            for d, dp in outs[0]:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, v, ctx))
+                        arcs = outs[0]
+                        if ok and arcs:
+                            bucket.append((arcs, v, ctx))
+                            n_tok += len(arcs)
                         # else deferred: the matching ISTORE emits for us
                     elif op == 10:  # ISTORE
                         ins = act[2]
@@ -721,14 +732,15 @@ class PackedSimulator:
                         if v is ACCESS or not isinst(v, int):
                             self._bad_value(idx, v)
                         waiters = istructs.write(aux, i0, v)
-                        at = cyc + lat
-                        for d, dp in outs[0]:
-                            seq += 1
-                            push(heap, (at, seq, d, dp, ACCESS, ctx))
+                        arcs = outs[0]
+                        if arcs:
+                            bucket.append((arcs, ACCESS, ctx))
+                            n_tok += len(arcs)
                         for widx, wctx in waiters:
-                            for d, dp in rt[widx][2][0]:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, v, wctx))
+                            arcs = rt[widx][2][0]
+                            if arcs:
+                                bucket.append((arcs, v, wctx))
+                                n_tok += len(arcs)
                     elif op == 4:  # UNOP
                         a = act[2][0]
                         if a is ACCESS or not isinst(a, int):
@@ -736,10 +748,8 @@ class PackedSimulator:
                         v = aux(a)
                         arcs = outs[0]
                         if arcs:
-                            at = cyc + lat
-                            for d, dp in arcs:
-                                seq += 1
-                                push(heap, (at, seq, d, dp, v, ctx))
+                            bucket.append((arcs, v, ctx))
+                            n_tok += len(arcs)
                     else:
                         raise MachineError(
                             f"cannot execute kind {OPCODE_KIND_VALUE[op]}"
@@ -756,7 +766,7 @@ class PackedSimulator:
                         f"exceeded {max_ops} operations"
                     )
         finally:
-            self._seq = seq
+            self._n_tok = n_tok
             self._cycle = cyc
             self._m_ops = m_ops
             self._peak_tokens = peak_tok
@@ -808,7 +818,7 @@ class PackedSimulator:
             )
             if filled:
                 waiting.append(
-                    f"node {pg.node_ids[idx]} ({pg.describe[idx]}) ctx "
+                    f"node {pg.node_ids[idx]} ({pg.describe(idx)}) ctx "
                     f"{self._ctx_repr(fk // N)} has ports {filled} filled"
                 )
         for arr, idx in pending_is:

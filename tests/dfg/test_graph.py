@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.dfg import DFGError, DFGraph, OpKind, Seed, graph_stats
+from repro.dfg import DFGError, DFGraph, DFNode, OpKind, Seed, graph_stats
 from repro.dfg.dot import dfg_to_dot
-from repro.dfg.nodes import num_inputs, num_outputs
+from repro.dfg.nodes import MEMORY_KINDS, PORTS, num_inputs, num_outputs
 
 
 def tiny_graph():
@@ -31,6 +31,40 @@ def test_port_counts():
     le = g.add(OpKind.LOOP_ENTRY, loop_id=0, nchannels=2)
     assert num_inputs(le) == 4
     assert num_outputs(le) == 2
+
+
+#: (payload, input ports, output ports) per kind, read off the port
+#: conventions in repro/dfg/nodes.py
+PORT_CONVENTIONS = {
+    OpKind.START: ({"seeds": (Seed("access", "a"), Seed("value", "x"))}, 0, 2),
+    OpKind.END: ({"returns": ("x", None, "y")}, 3, 0),
+    OpKind.CONST: ({"value": 1}, 1, 1),
+    OpKind.BINOP: ({"op": "+"}, 2, 1),
+    OpKind.UNOP: ({"op": "-"}, 1, 1),
+    OpKind.LOAD: ({"var": "x"}, 1, 2),
+    OpKind.STORE: ({"var": "x"}, 2, 1),
+    OpKind.ALOAD: ({"var": "a"}, 2, 2),
+    OpKind.ASTORE: ({"var": "a"}, 3, 1),
+    OpKind.ILOAD: ({"var": "a"}, 1, 1),
+    OpKind.ISTORE: ({"var": "a"}, 2, 1),
+    OpKind.SWITCH: ({}, 2, 2),
+    OpKind.MERGE: ({"nports": 3}, 3, 1),
+    OpKind.SYNCH: ({"nports": 4}, 4, 1),
+    OpKind.LOOP_ENTRY: ({"loop_id": 0, "nchannels": 3}, 6, 3),
+    OpKind.LOOP_EXIT: ({"loop_id": 0, "nchannels": 3}, 3, 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.value)
+def test_port_table_matches_the_conventions(kind):
+    payload, nin, nout = PORT_CONVENTIONS[kind]
+    node = DFNode(0, kind, **payload)
+    assert (num_inputs(node), num_outputs(node)) == (nin, nout)
+    row = PORTS[kind]
+    assert row.opcode == list(OpKind).index(kind)
+    assert row.memory == (kind in MEMORY_KINDS) == (
+        kind.value in ("load", "store", "aload", "astore", "iload", "istore")
+    )
 
 
 def test_valid_tiny_graph():

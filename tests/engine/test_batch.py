@@ -119,6 +119,20 @@ def test_bad_job_does_not_poison_batch():
     assert bad.traceback and "Traceback" in bad.traceback
 
 
+def test_array_named_input_is_a_per_job_error():
+    """An input naming an array fails its own job, not its batch."""
+    src = "array a[2]; a[0] := 1; x := a[0];"
+    jobs = [
+        BatchJob(src, inputs={"a": 5}, name="array_input"),
+        BatchJob(src, inputs={"x": 5}, name="scalar_input"),
+    ]
+    bad, good = run_batch(jobs, pool_size=1, cache=GraphCache())
+    assert not bad.ok and bad.result is None
+    assert bad.error == "MemoryFault: 'a' is an array, not a scalar input"
+    assert good.ok
+    assert good.result.memory == run_ast(parse(src), {"x": 5})
+
+
 def test_bad_job_does_not_poison_pool_batch():
     gcd = workload("gcd")
     jobs = [

@@ -166,15 +166,28 @@ def test_snapshot_dir_doubles_as_disk_cache_layout(tmp_path):
 
 V3 = "repro-graph-cache-v3"
 V4 = "repro-graph-cache-v4"
+V5 = "repro-graph-cache-v5"
 
 
 def _as_old_layout(cp, fmt):
-    """Rewrite ``cp`` in place into the pickled layout ``fmt`` wrote: a
-    bare ``packed`` lowering next to the ``_payload``/``_payload_blob``
-    memos, with no memory spec or executable.  v3's lowering holds CSR
+    """Rewrite ``cp`` in place into the pickled layout ``fmt`` wrote.
+    v5's executable memo holds a lowering with a per-node ``describe``
+    tuple where v6's holds ``loop_ids``.  v3 and v4 wrote a bare
+    ``packed`` lowering next to the ``_payload``/``_payload_blob``
+    memos, with no memory spec or executable; v3's lowering holds CSR
     fan-out arrays (``arc_index``/``port_ptr``/``arc_dst``/``arc_port``)
     where v4's holds per-port tuples."""
     pg = cp.ensure_packed().graph
+    if fmt == V5:
+        state = {f.name: getattr(pg, f.name)
+                 for f in dataclasses.fields(pg) if f.name != "loop_ids"}
+        state["describe"] = tuple(pg.describe(i) for i in range(pg.n))
+        old = object.__new__(PackedGraph)
+        old.__dict__.update(state)
+        cp.__dict__["executable"] = dataclasses.replace(
+            cp.executable, graph=old
+        )
+        return cp
     if fmt == V3:
         arc_index, port_ptr, arc_dst, arc_port = [], [], [], []
         for ports in pg.outs:
@@ -221,18 +234,19 @@ def _assert_old_cache_dir_is_cold(tmp_path, monkeypatch, fmt):
     assert simulate(cp).memory == run_ast(parse(SRC_A))
 
 
-def _assert_old_snapshot_is_cold(tmp_path, monkeypatch, fmt, state):
-    """An older-format snapshot, its manifest carrying ``state`` as that
-    format's manifests did, restores nothing and raises nothing; lookups
-    then compile."""
+def _assert_old_snapshot_is_cold(tmp_path, monkeypatch, fmt, state=None):
+    """An older-format snapshot, its manifest carrying ``state`` (if
+    given) as that format's manifests did, restores nothing and raises
+    nothing; lookups then compile."""
     cache = _old_cache(monkeypatch, fmt)
     assert cache.snapshot(tmp_path) == 2
     monkeypatch.undo()
     path = tmp_path / SNAPSHOT_MANIFEST
     manifest = json.loads(path.read_text())
     assert manifest["format"] == fmt
-    manifest["state"] = state
-    path.write_text(json.dumps(manifest))
+    if state is not None:
+        manifest["state"] = state
+        path.write_text(json.dumps(manifest))
 
     fresh = GraphCache()
     assert fresh.restore(tmp_path) == 0
@@ -263,8 +277,17 @@ def test_v4_snapshot_is_a_cold_start(tmp_path, monkeypatch):
     _assert_old_snapshot_is_cold(tmp_path, monkeypatch, V4, {})
 
 
-def test_v5_snapshot_restores_warm(tmp_path):
-    assert cache_mod.CACHE_FORMAT == "repro-graph-cache-v5"
+def test_v5_cache_dir_is_a_cold_start(tmp_path, monkeypatch):
+    _assert_old_cache_dir_is_cold(tmp_path, monkeypatch, V5)
+
+
+def test_v5_snapshot_is_a_cold_start(tmp_path, monkeypatch):
+    """A v5 manifest holds its format and keys only, as v6's does."""
+    _assert_old_snapshot_is_cold(tmp_path, monkeypatch, V5)
+
+
+def test_v6_snapshot_restores_warm(tmp_path):
+    assert cache_mod.CACHE_FORMAT == "repro-graph-cache-v6"
     _warm_cache().snapshot(tmp_path)
     fresh = GraphCache()
     assert fresh.restore(tmp_path) == 2

@@ -6,7 +6,8 @@ from repro.cfg import build_cfg, insert_loop_controls
 from repro.interp import run_ast, run_cfg
 from repro.interp.ast_interp import StepLimitExceeded
 from repro.lang import parse
-from repro.machine import MemoryFault
+from repro.machine import MachineConfig, MemoryFault
+from repro.translate import compile_program, simulate
 
 PROGRAMS = [
     ("x := 1 + 2 * 3;", {}, {"x": 7}),
@@ -82,6 +83,29 @@ def test_array_out_of_bounds_faults():
         run_ast(parse("array a[4]; a[9] := 1;"))
     with pytest.raises(MemoryFault):
         run_ast(parse("array a[4]; x := a[0 - 1];"))
+
+
+ARRAY_INPUT_SRC = "array a[2]; a[0] := 1; x := a[0];"
+
+
+def test_array_named_input_faults_on_every_route():
+    """An input naming an array is refused with one MemoryFault by both
+    reference interpreters and both machine loops."""
+    prog = parse(ARRAY_INPUT_SRC)
+    cp = compile_program(ARRAY_INPUT_SRC)
+    routes = {
+        "ast": lambda: run_ast(prog, {"a": 5}),
+        "cfg": lambda: run_cfg(build_cfg(prog), prog, {"a": 5}),
+        "packed": lambda: simulate(cp, {"a": 5}),
+        "step": lambda: simulate(
+            cp, {"a": 5}, MachineConfig(sim_mode="step")
+        ),
+    }
+    for route, run in routes.items():
+        with pytest.raises(MemoryFault) as err:
+            run()
+        assert str(err.value) == "'a' is an array, not a scalar input", route
+    assert simulate(cp, {"x": 5}).memory == run_ast(prog, {"x": 5})
 
 
 def test_step_limit():

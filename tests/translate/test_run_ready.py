@@ -9,12 +9,12 @@ and the memory spec, and never lower.
 
 import dataclasses
 import pickle
-import sys
 import types
 
 import pytest
 
 import repro.engine.batch as batch_mod
+import repro.translate.pipeline as pipeline_mod
 from repro.bench.programs import RUNNING_EXAMPLE, workload
 from repro.dfg.graph import DFGError, DFGraph
 from repro.dfg.nodes import OpKind, Seed
@@ -38,17 +38,28 @@ def _dangling_graph() -> DFGraph:
 
 
 def test_idealized_runs_validate_once_in_the_lowering(monkeypatch):
+    """Five idealized runs lower the graph once.  The lowering checks the
+    graph as it walks it, so a valid graph never reaches
+    ``DFGraph.validate``; the unconnected-port test below shows that the
+    check still runs on a first run."""
     cp = compile_program(RUNNING_EXAMPLE.source, schema="schema2_opt")
-    callers = []
-    real = DFGraph.validate
+    lowered, validated = [], []
+    real_pack = pipeline_mod.pack_graph
+    real_validate = DFGraph.validate
 
-    def counting(self, *args, **kwargs):
-        callers.append((self, sys._getframe(1).f_code.co_name))
-        return real(self, *args, **kwargs)
+    def counting_pack(graph):
+        lowered.append(graph)
+        return real_pack(graph)
 
-    monkeypatch.setattr(DFGraph, "validate", counting)
+    def counting_validate(self, *args, **kwargs):
+        validated.append(self)
+        return real_validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "pack_graph", counting_pack)
+    monkeypatch.setattr(DFGraph, "validate", counting_validate)
     runs = [simulate(cp) for _ in range(5)]
-    assert callers == [(cp.graph, "pack_graph")]
+    assert len(lowered) == 1 and lowered[0] is cp.graph
+    assert validated == []
     assert {r.backend for r in runs} == {"packed"}
     assert len({repr(r.memory) for r in runs}) == 1
 
