@@ -34,17 +34,14 @@ SEED = 7
 def test_fleet_vs_single_saturation(save_result):
     jobs = _default_jobs(n_programs=8, iters=400)
 
-    with running_server(
-        max_queue=256, max_batch=8, max_wait_ms=2.0
-    ) as (ep, _server):
+    with running_server(max_queue=256, max_batch=8) as (ep, _server):
         single = saturation_sweep(
             ep, jobs, RATES, duration_s=DURATION_S,
             connections=CONNECTIONS, seed=SEED,
         )
 
     with running_fleet(
-        shards=SHARDS, max_queue=256, max_batch=8, max_wait_ms=2.0,
-        max_pending=512,
+        shards=SHARDS, max_queue=256, max_batch=8, max_pending=512,
     ) as (ep, _router):
         fleet = saturation_sweep(
             ep, jobs, RATES, duration_s=DURATION_S,

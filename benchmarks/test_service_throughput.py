@@ -64,11 +64,7 @@ def test_service_throughput(tmp_path, save_result):
 
     # -- warm service: unloaded latency, then 8-client sustained load ---
     rounds = 3
-    with running_server(
-        max_queue=256,
-        max_batch=16,
-        max_wait_ms=2.0,
-    ) as (ep, _server):
+    with running_server(max_queue=256, max_batch=16) as (ep, _server):
         with ServiceClient(**ep) as warmup:
             warm = warmup.submit_many(jobs)
             assert all(r.ok for r in warm)
@@ -91,11 +87,7 @@ def test_service_throughput(tmp_path, save_result):
     # -- overload: tiny queue, pipelined bursts, engine held busy -------
     fast = [BatchJob(jobs[0].source, jobs[0].options, jobs[0].inputs,
                      name=f"burst{i}") for i in range(48)]
-    with running_server(
-        max_queue=4,
-        max_batch=1,
-        max_wait_ms=0.0,
-    ) as (ep2, server2):
+    with running_server(max_queue=4, max_batch=1) as (ep2, server2):
         with ServiceClient(**ep2) as holder:
             anchor = holder.start(BatchJob(SLOW_SRC, name="anchor"))
             deadline = time.monotonic() + 10
@@ -130,7 +122,7 @@ def test_service_throughput(tmp_path, save_result):
         "even the fully-amortized cold per-job cost",
         "",
         f"warm service, 8 concurrent clients x {rounds} rounds "
-        "(max_queue=256 max_batch=16 max_wait_ms=2):",
+        "(max_queue=256 max_batch=16):",
         f"  {report.summary()}",
         f"  p50 vs cold single-job one-shot: "
         f"{single_shot_ms / report.latency_ms.p50:.1f}x faster",

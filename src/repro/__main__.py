@@ -25,7 +25,7 @@ Usage::
 Service mode (always-on compile/simulate server, JSON-lines protocol)::
 
     python -m repro serve --socket /tmp/repro.sock [--max-queue N]
-                          [--max-batch N] [--max-wait-ms F] [--jobs N]
+                          [--max-batch N] [--jobs N]
                           [--cache-dir DIR] [--snapshot-dir DIR]
                           [--snapshot-interval S]
     python -m repro fleet --socket /tmp/repro.sock --shards N
@@ -448,7 +448,6 @@ def _serve(args) -> int:
         port=args.port or 0,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         pool_size=args.jobs,
         cache_dir=args.cache_dir,
         snapshot_dir=args.snapshot_dir,
@@ -464,7 +463,7 @@ def _serve(args) -> int:
         print(
             f"# repro service listening on {server.endpoint} "
             f"(max_queue={config.max_queue} max_batch={config.max_batch} "
-            f"max_wait_ms={config.max_wait_ms} jobs={config.pool_size})",
+            f"jobs={config.pool_size})",
             file=sys.stderr,
             flush=True,
         )
@@ -496,7 +495,6 @@ def _fleet(args) -> int:
         socket_dir=socket_dir,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         pool_size=args.jobs,
         cache_dir=args.cache_dir,
         snapshot_dir=args.snapshot_dir,
@@ -848,11 +846,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=8,
-        help="flush a micro-batch at this many jobs",
-    )
-    p_serve.add_argument(
-        "--max-wait-ms", type=float, default=5.0,
-        help="flush a partial micro-batch after this long",
+        help="most jobs one micro-batch takes; a batch runs as soon as "
+        "the engine is idle, and jobs that arrive meanwhile form the next",
     )
     p_serve.add_argument(
         "--jobs", type=int, default=1,
@@ -902,11 +897,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_fleet.add_argument(
         "--max-batch", type=int, default=8,
-        help="per-shard micro-batch size",
-    )
-    p_fleet.add_argument(
-        "--max-wait-ms", type=float, default=5.0,
-        help="per-shard micro-batch flush timeout",
+        help="per-shard micro-batch size cap",
     )
     p_fleet.add_argument(
         "--jobs", type=int, default=1,

@@ -80,11 +80,11 @@ class DFGraph:
                 f"input port {dst_port} of node {dst} "
                 f"({self.nodes[dst].describe()}) already connected"
             )
-        if sp >= num_outputs(self.nodes[s]):
+        if not 0 <= sp < num_outputs(self.nodes[s]):
             raise DFGError(
                 f"node {s} ({self.nodes[s].describe()}) has no output port {sp}"
             )
-        if dst_port >= num_inputs(self.nodes[dst]):
+        if not 0 <= dst_port < num_inputs(self.nodes[dst]):
             raise DFGError(
                 f"node {dst} ({self.nodes[dst].describe()}) has no input port "
                 f"{dst_port}"
@@ -253,7 +253,7 @@ class DFGraph:
                         f"tag={node.tag!r}) is unconnected"
                     )
             for p in self._in[nid]:
-                if p >= nin:
+                if not 0 <= p < nin:
                     raise DFGError(
                         f"arc into nonexistent port {p} of node {nid}"
                     )

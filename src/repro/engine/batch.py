@@ -30,7 +30,7 @@ import time
 import traceback as _traceback
 from dataclasses import dataclass, field, replace
 
-from ..dfg.stats import GraphStats, graph_stats
+from ..dfg.stats import GraphStats
 from ..machine.config import MachineConfig
 from ..machine.packed import PackedProgram
 from ..machine.simulator import SimResult
@@ -192,7 +192,7 @@ def _run_one_inner(cache: GraphCache, index: int, job: BatchJob) -> BatchResult:
         name=name,
         index=index,
         result=res,
-        stats=graph_stats(cp.graph),
+        stats=cp.ensure_stats(),
         compile_time=t1 - t0,
         sim_time=t2 - t1,
         cache_hit=hit,
@@ -434,7 +434,7 @@ def _run_pooled(
                 continue
             meta[i] = (
                 name,
-                graph_stats(cp.graph),
+                cp.ensure_stats(),
                 time.perf_counter() - t0,
                 hit,
                 job.trace_id,

@@ -89,7 +89,6 @@ class FleetConfig:
     # per-shard server knobs, passed straight to ``repro serve``
     max_queue: int = 64
     max_batch: int = 8
-    max_wait_ms: float = 5.0
     pool_size: int = 1
     # one disk cache shared by every shard: graph pickles are written
     # atomically and content-addressed, so concurrent shards are safe,
@@ -453,7 +452,6 @@ class FleetRouter:
                 os.path.join(config.socket_dir, f"shard-{i}.sock"),
                 max_queue=config.max_queue,
                 max_batch=config.max_batch,
-                max_wait_ms=config.max_wait_ms,
                 pool_size=config.pool_size,
                 cache_dir=config.cache_dir,
                 log_path=os.path.join(config.socket_dir, f"shard-{i}.log"),
@@ -906,7 +904,6 @@ class FleetRouter:
             "in_flight": int(total("in_flight")),
             "max_queue": self.config.max_queue,
             "max_batch": self.config.max_batch,
-            "max_wait_ms": self.config.max_wait_ms,
             "pool_size": self.config.pool_size,
             "batches": int(total("batches")),
             "submitted": self._c["submitted"].value,

@@ -33,7 +33,6 @@ class ShardProcess:
         *,
         max_queue: int = 64,
         max_batch: int = 8,
-        max_wait_ms: float = 5.0,
         pool_size: int = 1,
         cache_dir: str | None = None,
         log_path: str | None = None,
@@ -44,7 +43,6 @@ class ShardProcess:
         self.socket_path = socket_path
         self.max_queue = max_queue
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.pool_size = pool_size
         self.cache_dir = cache_dir
         self.log_path = log_path
@@ -61,7 +59,6 @@ class ShardProcess:
             "--socket", self.socket_path,
             "--max-queue", str(self.max_queue),
             "--max-batch", str(self.max_batch),
-            "--max-wait-ms", str(self.max_wait_ms),
             "--jobs", str(self.pool_size),
         ]
         if self.cache_dir is not None:

@@ -1,18 +1,19 @@
-"""Dynamic micro-batching with explicit backpressure.
+"""Micro-batching with explicit backpressure.
 
-The inference-server pattern: submissions land in a bounded queue; a
-single flush loop coalesces whatever is queued into one engine batch,
-flushing as soon as either ``max_batch`` items are waiting or the oldest
-waiting item has been held ``max_wait_ms`` — whichever comes first.  A
-full queue rejects at the door (`offer` returns ``False``) instead of
-buffering unboundedly; that rejection *is* the backpressure signal the
-server turns into a ``queue_full`` error frame.
+Submissions land in a bounded queue; a single flush loop hands them to
+the engine the moment it is idle.  Nothing is held back to wait for
+company: a lone job on an idle engine runs at once, and jobs that arrive
+while a batch runs queue up and form the next batch, in arrival order,
+up to ``max_batch`` of them.  A full queue rejects at the door (`offer`
+returns ``False``) instead of buffering unboundedly; that rejection *is*
+the backpressure signal the server turns into a ``queue_full`` error
+frame.
 
 The batcher is transport-agnostic: items are opaque, and the server
 provides the async ``runner`` that executes a popped batch and replies
-to clients.  One batch is in flight at a time — while the runner awaits
-the engine, new submissions queue up and form the next batch, which is
-exactly what lets a persistent pool amortize across concurrent clients.
+to clients.  One batch is in flight at a time, so the batches that form
+behind it are what lets a persistent pool amortize across concurrent
+clients.
 """
 
 from __future__ import annotations
@@ -27,30 +28,19 @@ class MicroBatcher:
     * ``runner(batch)`` — awaited with 1..``max_batch`` items, in arrival
       order; exceptions it raises abort the flush loop (the server's
       runner catches everything and replies per-item instead).
-    * ``max_batch`` — flush immediately once this many items wait.
-    * ``max_wait_ms`` — flush a partial batch once the oldest item has
-      waited this long (0 = flush every item as soon as possible).
+    * ``max_batch`` — the most items one batch takes; the rest wait for
+      the next.
     * ``max_queue`` — :meth:`offer` rejects beyond this many *waiting*
       items (in-flight items are bounded separately by ``max_batch``).
     """
 
-    def __init__(
-        self,
-        runner,
-        *,
-        max_batch: int = 8,
-        max_wait_ms: float = 5.0,
-        max_queue: int = 64,
-    ):
+    def __init__(self, runner, *, max_batch: int = 8, max_queue: int = 64):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         self._runner = runner
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self._queue: deque = deque()
         self._wakeup = asyncio.Event()
@@ -92,30 +82,15 @@ class MicroBatcher:
 
     async def run(self) -> None:
         """The flush loop; returns once closed and fully drained."""
-        loop = asyncio.get_running_loop()
         while True:
             while not self._queue:
                 if self._closing:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            # first waiter defines the flush deadline; closing flushes now
-            deadline = loop.time() + self.max_wait_ms / 1000.0
-            while len(self._queue) < self.max_batch and not self._closing:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                self._wakeup.clear()
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), remaining)
-                except (asyncio.TimeoutError, TimeoutError):
-                    break
-            batch = []
-            while self._queue and len(batch) < self.max_batch:
-                batch.append(self._queue.popleft())
-            if not batch:
-                continue
-            self.in_flight = len(batch)
+            n = min(len(self._queue), self.max_batch)
+            batch = [self._queue.popleft() for _ in range(n)]
+            self.in_flight = n
             self.batches += 1
             try:
                 await self._runner(batch)

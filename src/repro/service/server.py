@@ -70,7 +70,6 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral, see ServiceServer.endpoint
     max_queue: int = 64
     max_batch: int = 8
-    max_wait_ms: float = 5.0
     pool_size: int = 1  # 1 = serial in-process engine
     cache_dir: str | None = None
     capacity: int = 256
@@ -140,7 +139,6 @@ class ServiceServer:
         self.batcher = MicroBatcher(
             self._run_entries,
             max_batch=config.max_batch,
-            max_wait_ms=config.max_wait_ms,
             max_queue=config.max_queue,
         )
         # persistent engine state — this is the point of the service.
@@ -602,7 +600,6 @@ class ServiceServer:
             "in_flight": self.batcher.in_flight,
             "max_queue": self.config.max_queue,
             "max_batch": self.config.max_batch,
-            "max_wait_ms": self.config.max_wait_ms,
             "pool_size": self.config.pool_size,
             "batches": self.batcher.batches,
             "submitted": self.submitted,

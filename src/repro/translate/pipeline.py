@@ -30,6 +30,7 @@ from ..cfg.builder import build_cfg
 from ..cfg.graph import CFG
 from ..cfg.intervals import Loop
 from ..dfg.graph import DFGraph
+from ..dfg.stats import GraphStats, graph_stats
 from ..lang.ast_nodes import Program
 from ..lang.parser import parse
 from ..machine.config import MachineConfig
@@ -153,6 +154,10 @@ class CompiledProgram:
     memory_spec: MemorySpec | None = None
     #: the run-ready executable, built by :meth:`ensure_packed`
     executable: PackedProgram | None = None
+    #: the graph's statistics, counted by :meth:`ensure_stats` on the
+    #: first request (entries pickled before the field existed load
+    #: with this class-level ``None``)
+    stats: GraphStats | None = None
 
     def __post_init__(self) -> None:
         if self.memory_spec is None:
@@ -178,6 +183,13 @@ class CompiledProgram:
                 pack_graph(self.graph), self.memory_spec
             )
         return self.executable
+
+    def ensure_stats(self) -> GraphStats:
+        """:func:`~repro.dfg.stats.graph_stats` of :attr:`graph`, counted
+        once: every run after the first serves the memo."""
+        if self.stats is None:
+            self.stats = graph_stats(self.graph)
+        return self.stats
 
     def slim(self) -> CompiledProgram:
         """This program without its compile-time working state — the CFG,

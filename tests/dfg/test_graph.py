@@ -110,6 +110,19 @@ def test_connect_to_bad_port_rejected():
         g.connect((c.id, 0), u.id, 5)
 
 
+def test_connect_to_negative_port_rejected():
+    """Ports are 0-based: -1 names no port on either side, and the
+    rejection wires nothing."""
+    g = DFGraph()
+    c = g.add(OpKind.CONST, value=1)
+    u = g.add(OpKind.UNOP, op="-")
+    with pytest.raises(DFGError, match="no output port -1"):
+        g.connect((c.id, -1), u.id, 0)
+    with pytest.raises(DFGError, match="no input port -1"):
+        g.connect((c.id, 0), u.id, -1)
+    assert g.num_arcs() == 0
+
+
 def test_fan_out_allowed():
     g = DFGraph()
     c = g.add(OpKind.CONST, value=1)

@@ -36,9 +36,7 @@ def test_kill_nine_fails_inflight_then_respawns():
     per-job error, not a torn client connection), the supervisor
     respawns the shard on the same ring slot, and the same graph then
     completes there."""
-    with running_fleet(
-        shards=2, max_batch=1, max_wait_ms=0.0
-    ) as (ep, router):
+    with running_fleet(shards=2, max_batch=1) as (ep, router):
         with ServiceClient(**ep, timeout=120.0, retries=20) as client:
             job = BatchJob(_slow_src(), name="victim")  # ~1.2s
             key = graph_key(job.source, job.options)
@@ -65,7 +63,7 @@ def test_kill_nine_fails_inflight_then_respawns():
 def test_drain_delivers_every_accepted_result():
     """shutdown mid-burst: every accepted job's result reaches the
     client before the fleet exits — zero lost results."""
-    with running_fleet(shards=2, max_wait_ms=1.0) as (ep, router):
+    with running_fleet(shards=2) as (ep, router):
         with ServiceClient(**ep, timeout=120.0, retries=20) as client:
             src = _slow_src(2000)
             reqs = [client.start(BatchJob(src, name=f"d{i}"))
@@ -85,9 +83,7 @@ def test_deadline_expiry_while_queued_at_router():
     """A job bound for a dead shard (respawn disabled) waits in the
     router's outbox; its deadline fires there and the client gets
     deadline_expired on time — not a hang, not a torn connection."""
-    with running_fleet(
-        shards=1, respawn=False, max_wait_ms=0.0
-    ) as (ep, router):
+    with running_fleet(shards=1, respawn=False) as (ep, router):
         with ServiceClient(**ep, timeout=60.0, retries=20) as client:
             assert client.submit(BatchJob("x := 1;", name="up")).ok
             router.shards[0].kill()
@@ -168,9 +164,7 @@ def test_kill_nine_during_open_loop_campaign():
     per-job errors), the campaign runs to completion, and the shard is
     back by the end."""
     jobs = _default_jobs(6, 800)
-    with running_fleet(
-        shards=2, max_batch=4, max_wait_ms=1.0
-    ) as (ep, router):
+    with running_fleet(shards=2, max_batch=4) as (ep, router):
         report_box = {}
 
         def campaign():

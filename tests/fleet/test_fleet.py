@@ -39,7 +39,7 @@ def test_round_trip_affinity_and_aggregation():
     warm shard (second submit is a cache hit), ping reports the fleet,
     and stats/metrics aggregate across shards with per-shard breakdowns.
     """
-    with running_fleet(shards=2, max_wait_ms=1.0) as (ep, router):
+    with running_fleet(shards=2) as (ep, router):
         with ServiceClient(**ep, timeout=60.0, retries=20) as client:
             ping = client.ping()
             assert ping["ok"] and ping["fleet"]["shards"] == 2
@@ -80,21 +80,16 @@ def test_round_trip_affinity_and_aggregation():
             assert sum(b[1] for b in agg["buckets"]) == 3
 
 
-@pytest.mark.parametrize(
-    "shards,max_batch,max_wait_ms",
-    [(1, 4, 5.0), (2, 1, 0.0), (3, 8, 25.0)],
-)
-def test_differential_bit_identical_through_fleet(
-    shards, max_batch, max_wait_ms
-):
-    """For any shard count and batcher setting, fleet results equal a
-    direct run_batch() of the same jobs — the PR-2 differential
-    guarantee extended through consistent-hash routing."""
+@pytest.mark.parametrize("shards,max_batch", [(1, 4), (2, 1), (3, 8)])
+def test_differential_bit_identical_through_fleet(shards, max_batch):
+    """For any shard count and max_batch, fleet results equal a direct
+    run_batch() of the same jobs — the service's differential guarantee
+    extended through consistent-hash routing."""
     jobs = corpus_jobs(programs=["gcd", "fib"])
     direct = run_batch(jobs, cache=GraphCache())
-    with running_fleet(
-        shards=shards, max_batch=max_batch, max_wait_ms=max_wait_ms
-    ) as (ep, _router):
+    with running_fleet(shards=shards, max_batch=max_batch) as (
+        ep, _router,
+    ):
         with ServiceClient(**ep, timeout=120.0, retries=20) as client:
             via_fleet = client.submit_many(jobs)
     assert len(via_fleet) == len(direct)
@@ -112,9 +107,9 @@ def test_router_max_pending_queue_full():
     """The router's own backpressure: once a shard has max_pending jobs
     outstanding, further submits bound for it are rejected immediately
     with queue_full — the shard never sees them."""
-    with running_fleet(
-        shards=1, max_pending=1, max_batch=1, max_wait_ms=0.0
-    ) as (ep, router):
+    with running_fleet(shards=1, max_pending=1, max_batch=1) as (
+        ep, router,
+    ):
         with ServiceClient(**ep, timeout=60.0, retries=20) as client:
             slow = client.start(BatchJob(_slow_src(), name="slow"))
             _wait(lambda: router.links[0].outstanding >= 1)
@@ -130,7 +125,7 @@ def test_shard_queue_full_passes_through():
     """A shard's queue_full travels back verbatim: tiny shard queue,
     generous router bound, pipelined same-graph burst."""
     with running_fleet(
-        shards=1, max_pending=64, max_queue=1, max_batch=1, max_wait_ms=0.0
+        shards=1, max_pending=64, max_queue=1, max_batch=1
     ) as (ep, _router):
         with ServiceClient(**ep, timeout=60.0, retries=20) as client:
             src = _slow_src()
@@ -149,7 +144,7 @@ def test_shard_queue_full_passes_through():
 
 def test_deadline_propagates_to_shard():
     """A deadline on a forwarded job expires at the shard on time."""
-    with running_fleet(shards=1, max_wait_ms=0.0) as (ep, _router):
+    with running_fleet(shards=1) as (ep, _router):
         with ServiceClient(**ep, timeout=60.0, retries=20) as client:
             t0 = time.monotonic()
             with pytest.raises(JobRejected) as exc:
@@ -164,8 +159,7 @@ def test_hot_graph_replication_load_aware():
     replication ring successors, chosen by least outstanding load — a
     pipelined burst of one hot graph spills onto the replica."""
     with running_fleet(
-        shards=2, replication=2, hot_threshold=2,
-        max_batch=1, max_wait_ms=0.0,
+        shards=2, replication=2, hot_threshold=2, max_batch=1,
     ) as (ep, router):
         with ServiceClient(**ep, timeout=120.0, retries=20) as client:
             src = _slow_src(2000)  # ~40ms: keeps outstanding > 0
@@ -241,7 +235,7 @@ def test_fleet_stats_latency_merge_is_sample_based():
     """The router asks shards for raw rings (stats op, samples=True),
     merges percentiles over the pooled samples, and strips the rings
     from the client-facing reply."""
-    with running_fleet(shards=2, max_wait_ms=1.0) as (ep, _router):
+    with running_fleet(shards=2) as (ep, _router):
         with ServiceClient(**ep, timeout=60.0, retries=20) as client:
             for i in range(4):
                 assert client.submit(BatchJob(SRC, name=f"j{i}")).ok

@@ -50,7 +50,7 @@ def test_killed_shard_restores_from_its_snapshot(tmp_path):
     hit with zero recompiles."""
     snap_root = str(tmp_path / "snap")
     with running_fleet(
-        shards=2, max_batch=1, max_wait_ms=0.0,
+        shards=2, max_batch=1,
         snapshot_dir=snap_root, snapshot_interval_s=0.05,
     ) as (ep, router):
         assert all(
@@ -94,7 +94,7 @@ def test_respawn_with_junk_in_snapshot_dir_is_cold_not_crashed(tmp_path):
     (shard_dir / SNAPSHOT_MANIFEST).write_text("{torn mid-write")
     (shard_dir / (SNAPSHOT_MANIFEST + "abc123.tmp")).write_text("{half")
     with running_fleet(
-        shards=1, max_batch=1, max_wait_ms=0.0,
+        shards=1, max_batch=1,
         snapshot_dir=str(snap_root), snapshot_interval_s=0.0,
     ) as (ep, _router):
         with ServiceClient(**ep, timeout=120.0, retries=20) as client:

@@ -34,7 +34,7 @@ def test_respawned_shard_first_job_is_disk_hit_not_recompile(tmp_path):
     respawns it over the same shared --cache-dir, and the first
     resubmission of that graph is a *disk hit* — zero recompiles."""
     with running_fleet(
-        shards=2, max_batch=1, max_wait_ms=0.0, cache_dir=str(tmp_path)
+        shards=2, max_batch=1, cache_dir=str(tmp_path)
     ) as (ep, router):
         with ServiceClient(**ep, timeout=120.0, retries=20) as client:
             job = BatchJob(SRC, name="seed")
@@ -65,7 +65,7 @@ def test_shards_share_one_disk_cache(tmp_path):
     per-shard subdirectories): a graph compiled anywhere in the fleet is
     readable by any other shard process."""
     with running_fleet(
-        shards=2, max_batch=1, max_wait_ms=0.0, cache_dir=str(tmp_path)
+        shards=2, max_batch=1, cache_dir=str(tmp_path)
     ) as (ep, router):
         assert all(
             sh.cache_dir == str(tmp_path) for sh in router.shards

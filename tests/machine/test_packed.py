@@ -124,11 +124,21 @@ def _nonexistent_port():
     return g
 
 
+def _negative_port():
+    g = _graph((OpKind.BINOP, {"op": "+"}))
+    g.connect((0, 0), 2, 0)
+    g.connect((0, 0), 2, 1)
+    # connect() rejects port -1, so write the input-side index directly
+    g._in[2][-1] = Arc(0, 0, 2, -1, False)
+    return g
+
+
 _INVALID = {
     "missing-start": _no_start,
     "missing-end": _no_end,
     "unconnected-port": _unconnected_port,
     "nonexistent-port": _nonexistent_port,
+    "negative-port": _negative_port,
     "merge-no-ports": lambda: _graph((OpKind.MERGE, {"nports": 0})),
     "synch-no-ports": lambda: _graph((OpKind.SYNCH, {"nports": 0})),
     "loop-entry-no-channels": lambda: _graph(

@@ -2,6 +2,7 @@
 cancellation, graceful drain, stats, and the differential guarantee that
 the service is bit-identical to a direct ``engine.run_batch()``."""
 
+import math
 import socket
 import time
 
@@ -61,21 +62,25 @@ def test_tcp_endpoint():
             assert client.submit(BatchJob(SRC)).ok
 
 
-@pytest.mark.parametrize(
-    "max_batch,max_wait_ms", [(1, 0.0), (4, 25.0), (32, 5.0)]
-)
-def test_differential_bit_identical(tmp_path, max_batch, max_wait_ms):
-    """For any batcher setting, service results equal a direct
-    run_batch() of the same jobs: memory, op counts, cycles, profiles."""
+@pytest.mark.parametrize("max_batch", [1, 4, 32])
+def test_differential_bit_identical(tmp_path, max_batch):
+    """For any max_batch, service results equal a direct run_batch() of
+    the same jobs: memory, op counts, cycles, profiles.  A slow anchor
+    runs first, so the jobs queue behind it and ride in shared batches."""
     jobs = corpus_jobs(programs=["gcd", "fib"])
     jobs.append(BatchJob(SRC, config=MachineConfig(num_pes=2, seed=11),
                          name="finite_pes"))
     direct = run_batch(jobs, cache=GraphCache())
-    with running_server(
-        max_batch=max_batch, max_wait_ms=max_wait_ms
-    ) as (ep, _server):
+    with running_server(max_batch=max_batch) as (ep, server):
         with ServiceClient(**ep) as client:
+            anchor = client.start(BatchJob(_slow_src(), name="anchor"))
+            _wait(lambda: server.batcher.in_flight == 1)
             via_service = client.submit_many(jobs)
+            assert client.result(anchor).ok
+            batches = client.stats()["batches"]
+    # the anchor ran alone; the jobs queued behind it left the queue
+    # max_batch at a time
+    assert batches == 1 + math.ceil(len(jobs) / max_batch)
     assert len(via_service) == len(direct)
     for d, s in zip(direct, via_service):
         assert s.ok, s.error
@@ -88,9 +93,7 @@ def test_differential_bit_identical(tmp_path, max_batch, max_wait_ms):
 
 
 def test_queue_full_backpressure():
-    with running_server(
-        max_queue=1, max_batch=1, max_wait_ms=0.0
-    ) as (ep, server):
+    with running_server(max_queue=1, max_batch=1) as (ep, server):
         with ServiceClient(**ep) as client:
             slow = client.start(BatchJob(_slow_src(), name="slow"))
             # wait until the slow job is in flight and the queue is empty
@@ -110,9 +113,7 @@ def test_queue_full_backpressure():
 
 
 def test_deadline_expires_in_queue():
-    with running_server(
-        max_batch=1, max_wait_ms=0.0
-    ) as (ep, server):
+    with running_server(max_batch=1) as (ep, server):
         with ServiceClient(**ep) as client:
             slow = client.start(BatchJob(_slow_src(), name="slow"))
             _wait(lambda: server.batcher.in_flight == 1)
@@ -139,9 +140,7 @@ def test_deadline_expires_mid_run():
 
 
 def test_client_cancellation():
-    with running_server(
-        max_batch=1, max_wait_ms=0.0
-    ) as (ep, server):
+    with running_server(max_batch=1) as (ep, server):
         with ServiceClient(**ep) as client:
             slow = client.start(BatchJob(_slow_src(), name="slow"))
             _wait(lambda: server.batcher.in_flight == 1)
@@ -161,9 +160,7 @@ def test_graceful_shutdown_drains_everything():
     """Shutdown mid-stream: every accepted job still gets its result
     (zero lost), new submits are refused, then the listener goes away."""
     jobs = [BatchJob(SRC, name=f"j{i}") for i in range(6)]
-    with running_server(max_batch=2, max_wait_ms=50.0) as (
-        ep, _server,
-    ):
+    with running_server(max_batch=2) as (ep, _server):
         path = ep["path"]
         with ServiceClient(**ep) as client:
             anchor = client.start(BatchJob(_slow_src(), name="anchor"))
@@ -184,19 +181,25 @@ def test_graceful_shutdown_drains_everything():
 
 
 def test_job_error_is_isolated():
-    with running_server(max_batch=8) as (ep, _server):
+    """A job that fails to compile shares a batch with good ones and
+    fails alone: the slow anchor holds the engine while all three queue."""
+    with running_server(max_batch=8) as (ep, server):
         with ServiceClient(**ep) as client:
+            anchor = client.start(BatchJob(_slow_src(), name="anchor"))
+            _wait(lambda: server.batcher.in_flight == 1)
             results = client.submit_many([
                 BatchJob(SRC, name="good0"),
                 BatchJob("x := ;;;; nope", name="bad"),
                 BatchJob(SRC, name="good1"),
             ])
+            assert client.result(anchor).ok
             good0, bad, good1 = results
             assert good0.ok and good1.ok
             assert not bad.ok
             assert "Error" in bad.error and "Traceback" in bad.traceback
             st = client.stats()
-            assert st["completed"] == 2 and st["failed"] == 1
+            assert st["batches"] == 2  # the anchor, then all three together
+            assert st["completed"] == 3 and st["failed"] == 1
 
 
 def test_stats_reports_live_state():
@@ -235,9 +238,7 @@ def test_malformed_frames_do_not_kill_connection():
 
 
 def test_duplicate_request_id_rejected():
-    with running_server(
-        max_batch=1, max_wait_ms=0.0
-    ) as (ep, server):
+    with running_server(max_batch=1) as (ep, server):
         with ServiceClient(**ep) as client:
             slow = client.start(BatchJob(_slow_src(), name="slow"))
             _wait(lambda: server.batcher.in_flight == 1)

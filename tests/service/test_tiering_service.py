@@ -26,7 +26,7 @@ l: y := x + 1;
 
 
 def _kwargs(**extra):
-    kw = dict(max_batch=1, max_wait_ms=0.0)
+    kw = dict(max_batch=1)
     kw.update(extra)
     return kw
 

@@ -18,7 +18,9 @@ import repro.translate.pipeline as pipeline_mod
 from repro.bench.programs import RUNNING_EXAMPLE, workload
 from repro.dfg.graph import DFGError, DFGraph
 from repro.dfg.nodes import OpKind, Seed
+from repro.dfg.stats import graph_stats
 from repro.engine import BatchJob, GraphCache, run_batch
+from repro.engine.cache import graph_key
 from repro.lang.ast_nodes import Program
 from repro.machine import MachineConfig, simulate_graph
 from repro.translate import CompileOptions, compile_program, simulate
@@ -127,3 +129,50 @@ def test_pooled_batch_pickles_each_executable_once(monkeypatch):
         id(cache.get_or_compile(src, schema="schema2_opt").executable)
         for src in sources
     }
+
+
+def test_served_hits_count_a_graph_once(monkeypatch):
+    """Every run of a cached program, serial or pooled, serves the one
+    GraphStats counted on the first request, and it equals a fresh
+    count of the graph."""
+    counted = []
+
+    def counting(graph):
+        counted.append(graph)
+        return graph_stats(graph)
+
+    monkeypatch.setattr(pipeline_mod, "graph_stats", counting)
+    options = CompileOptions(schema="schema2_opt")
+    jobs = [
+        BatchJob(RUNNING_EXAMPLE.source, options, name=f"j{i}")
+        for i in range(3)
+    ]
+    cache = GraphCache()
+    results = run_batch(jobs, cache=cache)
+    results += run_batch(jobs, pool_size=2, cache=cache)
+    cp = cache.get_or_compile(RUNNING_EXAMPLE.source, options)
+    assert all(r.ok for r in results), [r.error for r in results]
+    assert counted == [cp.graph]
+    assert all(r.stats is cp.stats for r in results)
+    assert cp.stats == graph_stats(cp.graph)
+
+
+def test_entry_pickled_without_the_stats_memo_serves_stats(tmp_path):
+    """A cache entry written before ``CompiledProgram.stats`` existed
+    loads with the class-level ``None`` and counts its stats when first
+    asked, so the memo needs no cache-format bump."""
+    src, options = RUNNING_EXAMPLE.source, CompileOptions(schema="schema2_opt")
+    cp = GraphCache(cache_dir=tmp_path).get_or_compile(src, options)
+    del cp.__dict__["stats"]  # the entry's state as older code pickled it
+    key = graph_key(src, options)
+    (tmp_path / key[:2] / f"{key}.pkl").write_bytes(
+        pickle.dumps(cp, pickle.HIGHEST_PROTOCOL)
+    )
+
+    cache = GraphCache(cache_dir=tmp_path)
+    loaded = cache.peek(src, options)
+    assert "stats" not in vars(loaded) and loaded.stats is None
+    [br] = run_batch([BatchJob(src, options, name="old")], cache=cache)
+    assert br.ok and br.cache_hit
+    assert br.stats == graph_stats(loaded.graph)
+    assert loaded.stats is br.stats
